@@ -25,26 +25,60 @@ linalg::Matrix RandomMatrix(std::size_t r, std::size_t c,
   return m;
 }
 
+// GEMM benches take the product shape op(A)·op(B) = (m x k)·(k x n) as
+// three args. Square sizes plus the VT CD shape (879 rows, 899 visible,
+// 96 hidden) that dominates sls-GRBM training; items = multiply-adds.
+void GemmArgs(benchmark::internal::Benchmark* b) {
+  for (int s : {64, 128, 256}) b->Args({s, s, s});
+  b->Args({879, 899, 96});
+}
+
 void BM_Gemm(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  const linalg::Matrix a = RandomMatrix(n, n, 1);
-  const linalg::Matrix b = RandomMatrix(n, n, 2);
+  const std::size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const linalg::Matrix a = RandomMatrix(m, k, 1);
+  const linalg::Matrix b = RandomMatrix(k, n, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::Gemm(a, b));
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Apply(GemmArgs);
 
 void BM_GemmTransA(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  const linalg::Matrix a = RandomMatrix(n, n, 3);
-  const linalg::Matrix b = RandomMatrix(n, n, 4);
+  const std::size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const linalg::Matrix a = RandomMatrix(k, m, 3);
+  const linalg::Matrix b = RandomMatrix(k, n, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::GemmTransA(a, b));
   }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_GemmTransA)->Arg(128)->Arg(256);
+BENCHMARK(BM_GemmTransA)->Apply(GemmArgs);
+
+void BM_GemmTransB(benchmark::State& state) {
+  const std::size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const linalg::Matrix a = RandomMatrix(m, k, 5);
+  const linalg::Matrix b = RandomMatrix(n, k, 6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::GemmTransB(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_GemmTransB)->Apply(GemmArgs);
+
+void BM_AccumulateGemmTransA(benchmark::State& state) {
+  const std::size_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const linalg::Matrix a = RandomMatrix(k, m, 7);
+  const linalg::Matrix b = RandomMatrix(k, n, 8);
+  linalg::Matrix out(m, n);
+  for (auto _ : state) {
+    linalg::AccumulateGemmTransA(1e-3, a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_AccumulateGemmTransA)->Apply(GemmArgs);
 
 void BM_PairwiseDistances(benchmark::State& state) {
   const std::size_t n = state.range(0);

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "parallel/thread_pool.h"
 
 namespace mcirbm::linalg {
 
 namespace {
-constexpr std::size_t kBlock = 64;  // elements per cache tile dimension
-
 // Rows per shard so one shard carries ~64k multiply-adds. Depends only on
 // the problem shape (never the thread count), so shard boundaries — and
 // therefore results — are identical at any pool width. Small problems
@@ -19,75 +18,169 @@ std::size_t RowGrain(std::size_t unit_cost) {
   return std::max<std::size_t>(
       1, kTargetShardWork / std::max<std::size_t>(1, unit_cost));
 }
-}  // namespace
 
-Matrix Gemm(const Matrix& a, const Matrix& b) {
-  MCIRBM_CHECK_EQ(a.cols(), b.rows()) << "Gemm shape mismatch";
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  // Row stripes are independent; within a stripe the p-blocked loop keeps
-  // the per-element accumulation order of the serial kernel, so the result
-  // is bit-identical at any thread count.
-  const std::size_t grain = std::max(kBlock, RowGrain(k * n));
+// --- The GEMM core: C += alpha · op(A) · op(B) -----------------------------
+//
+// Register tile kMr x kNr (3 x 8 measured fastest at the baseline SSE2
+// flags: 12 accumulator registers, no spills). A one-row shard (m = 1,
+// e.g. a single served row) has no second row to share each B load with,
+// so it widens its tile to 1 x kWideNr to keep as many accumulators in
+// flight. Depth blocks of kKc steps keep a packed A block and one B sliver
+// cache-resident.
+constexpr std::size_t kMr = 3;
+constexpr std::size_t kNr = 8;
+constexpr std::size_t kWideNr = 2 * kNr;
+constexpr std::size_t kKc = 256;
+// Fewest rows per shard: enough row panels to reuse each B sliver, few
+// enough that a 64-row serve chunk still splits across two threads.
+constexpr std::size_t kMinShardRows = 11 * kMr;
+
+// A strided operand: element (i, j) sits at data[i * row_stride +
+// j * col_stride], so a transpose is a view, not a copy.
+struct View {
+  const double* data;
+  std::size_t row_stride;
+  std::size_t col_stride;
+
+  double operator()(std::size_t i, std::size_t j) const {
+    return data[i * row_stride + j * col_stride];
+  }
+};
+
+View AsIs(const Matrix& x) { return {x.data(), x.cols(), 1}; }
+View TransposeView(const Matrix& x) { return {x.data(), 1, x.cols()}; }
+
+// c[0..R)[0..W) += ap · bp over kc steps, held in registers. Per step, `ap`
+// carries the R packed values of A, each stored twice so the compiler
+// pairs a value with two adjacent B columns without a broadcast; `bp` rows
+// sit ldb apart. Every element takes c ← c + a·b, one rounded multiply and
+// one rounded add, in ascending step order.
+//
+// acc[r][j ^ 1] holds c(r, j), and each column pair is updated odd column
+// first. The arithmetic is the same; the layout only steers g++'s
+// vectorizer, which otherwise swaps the lanes of every B load (one shuffle
+// per load) and spills part of the tile.
+template <std::size_t R, std::size_t W>
+void MicroKernel(std::size_t kc, const double* ap, const double* bp,
+                 std::size_t ldb, double* c, std::size_t ldc) {
+  static_assert(W % 2 == 0);
+  double acc[R][W];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t j = 0; j < W; ++j) acc[r][j ^ 1] = c[r * ldc + j];
+  }
+  for (std::size_t p = 0; p < kc; ++p, ap += 2 * R, bp += ldb) {
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t j = 0; j < W; j += 2) {
+        acc[r][j] += ap[2 * r + 1] * bp[j + 1];  // column j + 1
+        acc[r][j + 1] += ap[2 * r] * bp[j];      // column j
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t j = 0; j < W; ++j) c[r * ldc + j] = acc[r][j ^ 1];
+  }
+}
+
+using MicroKernelFn = void (*)(std::size_t, const double*, const double*,
+                               std::size_t, double*, std::size_t);
+// Indexed by panel rows: the last panel of a shard may hold fewer than kMr
+// rows and runs only the rows it has.
+constexpr MicroKernelFn kMicroKernels[] = {
+    nullptr, &MicroKernel<1, kNr>, &MicroKernel<2, kNr>, &MicroKernel<3, kNr>};
+static_assert(std::size(kMicroKernels) == kMr + 1);
+static_assert(kWideNr <= kMr * kNr);  // both tiles fit the edge buffer
+
+// C (m x n, row-major, leading dimension n) += alpha · op(A) · op(B), where
+// op(A) is m x k and op(B) is k x n. Each C element receives
+// c ← c + fl(fl(alpha·a(i,p))·b(p,j)) for p = 0, 1, ..., k-1 — the naive
+// ascending-p loop — so the result is bit-identical at any tiling, shard
+// layout or thread count. A is packed per shard into kMr-row panels with
+// alpha folded in; B is read in place when its columns are contiguous and
+// packed one kKc-step sliver at a time otherwise.
+void GemmCore(std::size_t m, std::size_t n, std::size_t k, double alpha,
+              View a, View b, double* c) {
+  if (m == 0 || n == 0 || k == 0) return;
+  std::size_t grain = std::max(kMinShardRows, RowGrain(k * n));
+  grain = (grain + kMr - 1) / kMr * kMr;
   parallel::ParallelFor(m, grain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
-      const std::size_t p1 = std::min(p0 + kBlock, k);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* arow = a.data() + i * k;
-        double* crow = c.data() + i * n;
-        for (std::size_t p = p0; p < p1; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const double* brow = b.data() + p * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    const std::size_t rows = i1 - i0;
+    const std::size_t width = rows == 1 ? kWideNr : kNr;
+    std::vector<double> a_pack(2 * rows * std::min(k, kKc));
+    std::vector<double> b_pack;  // sized when B first needs packing
+    double c_edge[kMr * kNr] = {};
+    for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+      const std::size_t kc = std::min(kKc, k - p0);
+      for (std::size_t ir = 0; ir < rows; ir += kMr) {
+        const std::size_t mr = std::min(kMr, rows - ir);
+        double* dst = a_pack.data() + 2 * ir * kc;
+        for (std::size_t p = 0; p < kc; ++p) {
+          for (std::size_t r = 0; r < mr; ++r, dst += 2) {
+            dst[0] = dst[1] = alpha * a(i0 + ir + r, p0 + p);
+          }
+        }
+      }
+      for (std::size_t j0 = 0; j0 < n; j0 += width) {
+        const std::size_t nr = std::min(width, n - j0);
+        const bool in_place = b.col_stride == 1 && nr == width;
+        if (!in_place) {
+          // Zero columns past nr only feed c_edge columns never copied out.
+          b_pack.resize(kKc * width);
+          for (std::size_t p = 0; p < kc; ++p) {
+            for (std::size_t j = 0; j < width; ++j) {
+              b_pack[p * width + j] = j < nr ? b(p0 + p, j0 + j) : 0.0;
+            }
+          }
+        }
+        const double* bp =
+            in_place ? b.data + p0 * b.row_stride + j0 : b_pack.data();
+        const std::size_t ldb = in_place ? b.row_stride : width;
+        for (std::size_t ir = 0; ir < rows; ir += kMr) {
+          const std::size_t mr = std::min(kMr, rows - ir);
+          const MicroKernelFn kernel =
+              rows == 1 ? &MicroKernel<1, kWideNr> : kMicroKernels[mr];
+          const double* ap = a_pack.data() + 2 * ir * kc;
+          double* tile = c + (i0 + ir) * n + j0;
+          if (nr == width) {
+            kernel(kc, ap, bp, ldb, tile, n);
+            continue;
+          }
+          // Right edge: run the full-width kernel on a copy of the tile.
+          for (std::size_t r = 0; r < mr; ++r) {
+            for (std::size_t j = 0; j < width; ++j) {
+              c_edge[r * width + j] = j < nr ? tile[r * n + j] : 0.0;
+            }
+          }
+          kernel(kc, ap, bp, width, c_edge, width);
+          for (std::size_t r = 0; r < mr; ++r) {
+            std::copy_n(c_edge + r * width, nr, tile + r * n);
+          }
         }
       }
     }
   });
+}
+}  // namespace
+
+Matrix Gemm(const Matrix& a, const Matrix& b) {
+  MCIRBM_CHECK_EQ(a.cols(), b.rows()) << "Gemm shape mismatch";
+  Matrix c(a.rows(), b.cols());
+  GemmCore(a.rows(), b.cols(), a.cols(), 1.0, AsIs(a), AsIs(b), c.data());
   return c;
 }
 
 Matrix GemmTransA(const Matrix& a, const Matrix& b) {
   MCIRBM_CHECK_EQ(a.rows(), b.rows()) << "GemmTransA shape mismatch";
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  // Partitioned by output row (column of A), but each shard keeps the
-  // serial p-outer rank-1 order on its row slice: `a` is read
-  // contiguously per p and every element still accumulates over p in
-  // increasing order, matching the serial formulation bit for bit.
-  parallel::ParallelFor(
-      m, RowGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const double* arow = a.data() + p * m;
-          const double* brow = b.data() + p * n;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const double av = arow[i];
-            if (av == 0.0) continue;
-            double* crow = c.data() + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
+  Matrix c(a.cols(), b.cols());
+  GemmCore(a.cols(), b.cols(), a.rows(), 1.0, TransposeView(a), AsIs(b),
+           c.data());
   return c;
 }
 
 Matrix GemmTransB(const Matrix& a, const Matrix& b) {
   MCIRBM_CHECK_EQ(a.cols(), b.cols()) << "GemmTransB shape mismatch";
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  Matrix c(m, n);
-  parallel::ParallelFor(
-      m, RowGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          const double* arow = a.data() + i * k;
-          double* crow = c.data() + i * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            const double* brow = b.data() + j * k;
-            double s = 0;
-            for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-            crow[j] = s;
-          }
-        }
-      });
+  Matrix c(a.rows(), b.rows());
+  GemmCore(a.rows(), b.rows(), a.cols(), 1.0, AsIs(a), TransposeView(b),
+           c.data());
   return c;
 }
 
@@ -95,46 +188,8 @@ void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,
                           Matrix* out) {
   MCIRBM_CHECK_EQ(a.rows(), b.rows());
   MCIRBM_CHECK(out->rows() == a.cols() && out->cols() == b.cols());
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  // Same row-sliced rank-1 scheme as GemmTransA; per-element accumulation
-  // order over p is unchanged from the serial kernel.
-  parallel::ParallelFor(
-      m, RowGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t p = 0; p < k; ++p) {
-          const double* arow = a.data() + p * m;
-          const double* brow = b.data() + p * n;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const double av = alpha * arow[i];
-            if (av == 0.0) continue;
-            double* crow = out->data() + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
-}
-
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
-  MCIRBM_CHECK_EQ(a.cols(), x.size());
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.data() + i * a.cols();
-    double s = 0;
-    for (std::size_t j = 0; j < a.cols(); ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-std::vector<double> MatTVec(const Matrix& a, const std::vector<double>& x) {
-  MCIRBM_CHECK_EQ(a.rows(), x.size());
-  std::vector<double> y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const double* row = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * row[j];
-  }
-  return y;
+  GemmCore(a.cols(), b.cols(), a.rows(), alpha, TransposeView(a), AsIs(b),
+           out->data());
 }
 
 void AddRowVector(Matrix* m, const std::vector<double>& v) {

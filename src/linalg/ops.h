@@ -2,8 +2,18 @@
 //
 // GEMM variants are named by operand orientation so call sites read like the
 // math: Gemm(A,B) = A·B; GemmTransA(A,B) = Aᵀ·B; GemmTransB(A,B) = A·Bᵀ.
-// All use a cache-blocked ikj loop order — adequate for the ≤1k x ≤1k
-// problem sizes of the paper's workloads.
+// All four run one core, C += α·op(A)·op(B) over strided operand views: A
+// is packed into small row panels with α folded in, B is read in place (or
+// packed when transposed), and one register-blocked microkernel in portable
+// C++ does the multiply-adds.
+//
+// Exactness contract: every output element is computed as
+//   c ← 0 (or out(i,j)),  then  c ← c + fl(fl(α·a(i,p))·b(p,j))
+// for p = 0, 1, ..., k-1 — a separate rounded multiply and add, in
+// ascending p, exactly the naive triple loop (α = 1 for the three
+// non-accumulating forms). Results are therefore bit-identical to that
+// reference at any tiling and any thread count. Zeros in A are not
+// skipped, so a NaN or infinity in B propagates even behind a zero.
 #ifndef MCIRBM_LINALG_OPS_H_
 #define MCIRBM_LINALG_OPS_H_
 
@@ -26,12 +36,6 @@ Matrix GemmTransB(const Matrix& a, const Matrix& b);
 /// out += alpha · Aᵀ·B (accumulating version used by gradient code).
 void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,
                           Matrix* out);
-
-/// y = A·x for a row-major matrix and dense vector (length cols()).
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x);
-
-/// y = Aᵀ·x (x has length rows()).
-std::vector<double> MatTVec(const Matrix& a, const std::vector<double>& x);
 
 /// Adds `v` (length cols) to every row of `m` in place.
 void AddRowVector(Matrix* m, const std::vector<double>& v);

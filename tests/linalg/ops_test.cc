@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "rng/rng.h"
@@ -16,7 +18,8 @@ Matrix RandomMatrix(std::size_t r, std::size_t c, rng::Rng* rng) {
   return m;
 }
 
-// Reference O(mnk) GEMM with no blocking, used as ground truth.
+// Reference O(mnk) GEMM with no blocking, used as ground truth: each
+// element is 0 plus a(i,p)·b(p,j) added in ascending p.
 Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -27,6 +30,14 @@ Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
     }
   }
   return c;
+}
+
+// The GEMM core keeps the naive loop's exact rounding sequence, so results
+// must match it bit for bit — no tolerance.
+bool BitIdentical(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
 }
 
 TEST(GemmTest, SmallKnownProduct) {
@@ -48,8 +59,9 @@ TEST(GemmTest, IdentityIsNeutral) {
   EXPECT_TRUE(Gemm(id, a).AllClose(a, 1e-12));
 }
 
-// Property sweep: blocked GEMM variants agree with the naive reference
-// across awkward shapes (non-multiples of the block size, thin, wide).
+// Property sweep: every GEMM entry point equals the naive reference bit
+// for bit across awkward shapes — m or n below, at and just past the
+// register tile, k = 0, depth past one packed block, and the VT CD shape.
 class GemmShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -58,7 +70,7 @@ TEST_P(GemmShapeTest, MatchesNaiveReference) {
   rng::Rng rng(1000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(k, n, &rng);
-  EXPECT_TRUE(Gemm(a, b).AllClose(NaiveGemm(a, b), 1e-9));
+  EXPECT_TRUE(BitIdentical(Gemm(a, b), NaiveGemm(a, b)));
 }
 
 TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
@@ -66,8 +78,7 @@ TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
   rng::Rng rng(2000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(k, m, &rng);  // will be transposed
   Matrix b = RandomMatrix(k, n, &rng);
-  EXPECT_TRUE(
-      GemmTransA(a, b).AllClose(NaiveGemm(a.Transposed(), b), 1e-9));
+  EXPECT_TRUE(BitIdentical(GemmTransA(a, b), NaiveGemm(a.Transposed(), b)));
 }
 
 TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
@@ -75,48 +86,66 @@ TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
   rng::Rng rng(3000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(n, k, &rng);  // will be transposed
-  EXPECT_TRUE(
-      GemmTransB(a, b).AllClose(NaiveGemm(a, b.Transposed()), 1e-9));
+  EXPECT_TRUE(BitIdentical(GemmTransB(a, b), NaiveGemm(a, b.Transposed())));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmShapeTest,
-    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
-                      std::make_tuple(7, 64, 9), std::make_tuple(65, 3, 64),
-                      std::make_tuple(64, 64, 64),
-                      std::make_tuple(100, 17, 65),
-                      std::make_tuple(2, 129, 1)));
+    ::testing::Values(
+        std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
+        std::make_tuple(7, 64, 9), std::make_tuple(65, 3, 64),
+        std::make_tuple(64, 64, 64), std::make_tuple(100, 17, 65),
+        std::make_tuple(2, 129, 1),
+        // m and n in {1, 3, 4, 5, 8, 9}: below, at and past the tile.
+        std::make_tuple(1, 7, 9), std::make_tuple(3, 6, 8),
+        std::make_tuple(4, 9, 3), std::make_tuple(5, 4, 1),
+        std::make_tuple(8, 5, 5), std::make_tuple(9, 3, 4),
+        std::make_tuple(1, 899, 96),
+        // k = 0: the product is all zeros.
+        std::make_tuple(4, 0, 5),
+        // Several row shards, depth past one packed block, ragged edges.
+        std::make_tuple(70, 513, 13),
+        // A full shard followed by a one-row shard (the widened tile).
+        std::make_tuple(34, 100, 20),
+        // The VT CD shape: 879 rows of 899 visible units, 96 hidden.
+        std::make_tuple(879, 899, 96)));
 
-TEST(AccumulateGemmTransATest, AddsScaledProduct) {
+TEST(AccumulateGemmTransATest, MatchesExplicitLoopBitwise) {
   rng::Rng rng(4);
-  Matrix a = RandomMatrix(6, 3, &rng);
-  Matrix b = RandomMatrix(6, 4, &rng);
-  Matrix out(3, 4, 1.0);
-  AccumulateGemmTransA(2.0, a, b, &out);
-  Matrix expected = NaiveGemm(a.Transposed(), b) * 2.0;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    expected.data()[i] += 1.0;
+  const std::size_t k = 300, m = 11, n = 10;
+  const Matrix a = RandomMatrix(k, m, &rng);
+  const Matrix b = RandomMatrix(k, n, &rng);
+  Matrix out = RandomMatrix(m, n, &rng);
+  const double alpha = -0.37;
+  Matrix expected = out;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double c = expected(i, j);
+      for (std::size_t p = 0; p < k; ++p) {
+        const double av = alpha * a(p, i);
+        c += av * b(p, j);
+      }
+      expected(i, j) = c;
+    }
   }
-  EXPECT_TRUE(out.AllClose(expected, 1e-9));
+  AccumulateGemmTransA(alpha, a, b, &out);
+  EXPECT_TRUE(BitIdentical(out, expected));
 }
 
-TEST(MatVecTest, MatchesGemm) {
-  rng::Rng rng(5);
-  Matrix a = RandomMatrix(4, 3, &rng);
-  std::vector<double> x = {1, -2, 0.5};
-  const auto y = MatVec(a, x);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(y[i], a(i, 0) - 2 * a(i, 1) + 0.5 * a(i, 2), 1e-12);
-  }
-}
-
-TEST(MatTVecTest, MatchesTransposedMatVec) {
-  rng::Rng rng(6);
-  Matrix a = RandomMatrix(4, 3, &rng);
-  std::vector<double> x = {1, 2, 3, 4};
-  const auto y = MatTVec(a, x);
-  const auto ref = MatVec(a.Transposed(), x);
-  for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(y[j], ref[j], 1e-12);
+// A zero in A no longer hides a NaN in the B row it multiplies: 0·NaN is
+// NaN, as the naive loop computes it.
+TEST(GemmTest, NanInBPropagatesBehindZeroInA) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a{{0.0, 1.0}};
+  const Matrix b{{nan, 2.0}, {3.0, 4.0}};
+  const Matrix c = Gemm(a, b);
+  EXPECT_TRUE(std::isnan(c(0, 0)));
+  EXPECT_EQ(c(0, 1), 4.0);
+  EXPECT_TRUE(std::isnan(GemmTransA(a.Transposed(), b)(0, 0)));
+  Matrix out(1, 2);
+  AccumulateGemmTransA(2.0, a.Transposed(), b, &out);
+  EXPECT_TRUE(std::isnan(out(0, 0)));
+  EXPECT_EQ(out(0, 1), 8.0);
 }
 
 TEST(AddRowVectorTest, AddsToEveryRow) {

@@ -30,11 +30,11 @@
 namespace mcirbm::net {
 namespace {
 
-data::Dataset TestDataset() {
+data::Dataset TestDataset(int num_instances = 32) {
   data::GaussianMixtureSpec spec;
   spec.name = "net";
   spec.num_classes = 2;
-  spec.num_instances = 32;
+  spec.num_instances = num_instances;
   spec.num_features = 6;
   spec.separation = 6.0;
   return data::GenerateGaussianMixture(spec, 21);
@@ -200,18 +200,27 @@ TEST_F(LineServerTest, StatsRoundTripCarriesNetAndServeMetrics) {
 }
 
 TEST_F(LineServerTest, PipelinedResponsesCompleteOutOfOrder) {
+  // The slow request evaluates a large set: on the 32-row set it takes
+  // about a millisecond, and on a loaded host a descheduled second
+  // handler let it finish first.
+  const std::string big_path = ::testing::TempDir() + "/net_big.csv";
+  ASSERT_TRUE(data::SaveDatasetCsv(TestDataset(20000), big_path).ok());
   StartServer(/*handler_threads=*/2);
   Client client = ConnectClient();
   // A slow request tagged first, a cheap one tagged second: with two
   // handlers the cheap response overtakes — completion order, not
   // submission order.
-  ASSERT_TRUE(client.SendLine(EvaluateRequest(" id=slow")).ok());
+  ASSERT_TRUE(client
+                  .SendLine("op=evaluate model=" + model_path_ +
+                            " data=" + big_path + " id=slow")
+                  .ok());
   ASSERT_TRUE(client.SendLine("op=stats id=fast").ok());
   std::string first, second;
   ASSERT_TRUE(ReadResponse(&client, &first).ok());
   ASSERT_TRUE(ReadResponse(&client, &second).ok());
   EXPECT_EQ(Token(first, "id"), "fast") << first;
   EXPECT_EQ(Token(second, "id"), "slow") << second;
+  std::remove(big_path.c_str());
 }
 
 TEST_F(LineServerTest, UntaggedRequestsAnswerInStrictFifoOrder) {
