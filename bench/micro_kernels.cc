@@ -180,15 +180,22 @@ void BM_DensityPeaks(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityPeaks)->Arg(256)->Arg(512);
 
+// Args: {n, target_clusters}. 0 is the median preference (one probe);
+// {1055, 2} is the ap voter's preference bisection at QB's size, whose
+// n×n messages no longer fit in L2.
 void BM_AffinityPropagation(benchmark::State& state) {
   const data::Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
-  clustering::AffinityPropagationConfig cfg;  // median preference
+  clustering::AffinityPropagationConfig cfg;
+  cfg.target_clusters = static_cast<int>(state.range(1));
   const clustering::AffinityPropagation ap(cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ap.Cluster(ds.x, 1));
   }
 }
-BENCHMARK(BM_AffinityPropagation)->Arg(128)->Arg(256);
+BENCHMARK(BM_AffinityPropagation)
+    ->Args({128, 0})
+    ->Args({256, 0})
+    ->Args({1055, 2});
 
 }  // namespace
 

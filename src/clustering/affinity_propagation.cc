@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "clustering/partition.h"
 #include "linalg/ops.h"
@@ -14,8 +16,170 @@
 namespace mcirbm::clustering {
 namespace {
 
-// Runs message passing with a fixed preference; returns the exemplar-based
-// assignment (not yet compact).
+// Shard widths. The sweep owns whole rows; the column-sum pass owns whole
+// columns, so each column sum adds its rows in ascending order at any
+// thread count.
+constexpr std::size_t kRowGrain = 32;
+constexpr std::size_t kColumnGrain = 256;
+// Independent accumulators per max scan (see ArgmaxOfSum).
+constexpr std::size_t kLanes = 4;
+constexpr double kFloor = -std::numeric_limits<double>::max();
+
+// The inner loops below are free functions over raw pointers with the
+// max/min/select spelled as named-temporary ternaries: that is the form
+// g++ vectorizes. Each stored element keeps the serial formula, so the
+// results are bit-identical to a plain scalar loop.
+
+// acc[k] += max(0, r[k]) for k in [begin, end).
+void AddPositive(const double* r, std::size_t begin, std::size_t end,
+                 double* acc) {
+  for (std::size_t k = begin; k < end; ++k) {
+    const double x = r[k];
+    const double pos = x > 0.0 ? x : 0.0;
+    acc[k] += pos;
+  }
+}
+
+// Off-diagonal availabilities of row i over [begin, end):
+// a(i,k) <- d·a(i,k) + (1−d)·min(0, r(k,k) + colsum[k] − max(0, r(i,k))).
+void DampAvailabilities(const double* r, const double* colsum,
+                        const double* rdiag, std::size_t begin,
+                        std::size_t end, double damping, double* a) {
+  const double fresh = 1 - damping;
+  for (std::size_t k = begin; k < end; ++k) {
+    const double x = r[k];
+    const double pos = x > 0.0 ? x : 0.0;
+    const double without_i = colsum[k] - pos;
+    const double sum = rdiag[k] + without_i;
+    const double newa = sum < 0.0 ? sum : 0.0;
+    a[k] = damping * a[k] + fresh * newa;
+  }
+}
+
+// r(i,k) <- d·r(i,k) + (1−d)·(s(i,k) − cap) over [begin, end).
+void DampResponsibilities(const double* s, double cap, std::size_t begin,
+                          std::size_t end, double damping, double* r) {
+  const double fresh = 1 - damping;
+  for (std::size_t k = begin; k < end; ++k) {
+    const double newr = s[k] - cap;
+    r[k] = damping * r[k] + fresh * newr;
+  }
+}
+
+// A max-scan candidate; index n (past the row) means "none".
+struct Pick {
+  double value;
+  std::size_t index;
+};
+
+// (value descending, index ascending): the order in which a serial
+// strict-> scan prefers candidates.
+bool Precedes(const Pick& x, const Pick& y) {
+  return x.value > y.value || (x.value == y.value && x.index < y.index);
+}
+
+// Lane j of a max scan takes k = j, j + kLanes, ... (the tail goes to the
+// first lanes), so each lane sees an ascending subsequence. With the same
+// strict > per lane, a lane's pick is the first maximum of its
+// subsequence, and the first maximum of the row is the lane pick that
+// Precedes the others: the scans below return exactly the index and the
+// value bits of the serial scan (ties, ±0 and NaN included).
+
+// Serial reference: best = -DBL_MAX; for k: if (x[k]+y[k] > best) take k.
+// Returns the taken index, or n if no sum exceeds -DBL_MAX.
+std::size_t ArgmaxOfSum(const double* x, const double* y, std::size_t n) {
+  double best[kLanes];
+  std::size_t at[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    best[j] = kFloor;
+    at[j] = n;
+  }
+  auto visit = [&](std::size_t j, std::size_t k) {
+    const double v = x[k] + y[k];
+    const bool take = v > best[j];
+    best[j] = take ? v : best[j];
+    at[j] = take ? k : at[j];
+  };
+  std::size_t k0 = 0;
+  for (; k0 + kLanes <= n; k0 += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) visit(j, k0 + j);
+  }
+  for (std::size_t j = 0; k0 + j < n; ++j) visit(j, k0 + j);
+  Pick first{kFloor, n};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    const Pick lane{best[j], at[j]};
+    if (Precedes(lane, first)) first = lane;
+  }
+  return first.index;
+}
+
+// Top two of x[k] + y[k] by the serial scan
+//   best = second = -DBL_MAX; best_k = 0;
+//   for k: v = x[k]+y[k];
+//     if (v > best) { second = best; best = v; best_k = k; }
+//     else if (v > second) second = v;
+struct TopTwo {
+  double best;
+  std::size_t best_k;
+  double second;
+};
+
+TopTwo TopTwoOfSum(const double* x, const double* y, std::size_t n) {
+  double best[kLanes], second[kLanes];
+  std::size_t best_at[kLanes], second_at[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    best[j] = second[j] = kFloor;
+    best_at[j] = second_at[j] = n;
+  }
+  auto visit = [&](std::size_t j, std::size_t k) {
+    const double v = x[k] + y[k];
+    const bool above_best = v > best[j];
+    const bool above_second = v > second[j];
+    const double kept = above_second ? v : second[j];
+    const std::size_t kept_at = above_second ? k : second_at[j];
+    second[j] = above_best ? best[j] : kept;
+    second_at[j] = above_best ? best_at[j] : kept_at;
+    best[j] = above_best ? v : best[j];
+    best_at[j] = above_best ? k : best_at[j];
+  };
+  std::size_t k0 = 0;
+  for (; k0 + kLanes <= n; k0 += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) visit(j, k0 + j);
+  }
+  for (std::size_t j = 0; k0 + j < n; ++j) visit(j, k0 + j);
+  Pick first{kFloor, n};
+  std::size_t winner = 0;
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    const Pick lane{best[j], best_at[j]};
+    if (Precedes(lane, first)) {
+      first = lane;
+      winner = j;
+    }
+  }
+  if (first.index == n) return {kFloor, 0, kFloor};
+  // The runner-up is the first maximum over every k but best_k: the
+  // winning lane's second pick or another lane's first.
+  Pick runner_up{kFloor, n};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    const Pick lane = j == winner ? Pick{second[j], second_at[j]}
+                                  : Pick{best[j], best_at[j]};
+    if (Precedes(lane, runner_up)) runner_up = lane;
+  }
+  return {first.value, first.index, runner_up.value};
+}
+
+// Row i's responsibilities from its availabilities a and similarities s.
+void UpdateResponsibilityRow(const double* s, const double* a,
+                             std::size_t n, double damping, double* r) {
+  const TopTwo top = TopTwoOfSum(a, s, n);
+  DampResponsibilities(s, top.best, 0, top.best_k, damping, r);
+  DampResponsibilities(s, top.second, top.best_k, top.best_k + 1, damping,
+                       r);
+  DampResponsibilities(s, top.best, top.best_k + 1, n, damping, r);
+}
+
+// One message-passing run: the exemplar-based assignment (not yet
+// compact) and its statistics.
 struct ApRun {
   std::vector<int> exemplar_of;  // exemplar index per instance
   int num_exemplars = 0;
@@ -24,104 +188,78 @@ struct ApRun {
   double net_similarity = 0.0;
 };
 
+// Runs message passing with the preference already on s's diagonal.
+// Each iteration is one column-sum pass over r plus one row sweep. The
+// sweep updates row i's availabilities, elects its exemplar, and computes
+// the next iteration's responsibilities while the row is in cache; rows
+// never read each other's messages, only colsum and the snapshot rdiag.
+// The caller's n×n buffers are reused across probes and zeroed here.
 ApRun RunMessagePassing(const linalg::Matrix& s,
-                        const AffinityPropagationConfig& cfg) {
+                        const AffinityPropagationConfig& cfg,
+                        linalg::Matrix* responsibilities,
+                        linalg::Matrix* availabilities) {
   const std::size_t n = s.rows();
-  linalg::Matrix r(n, n);  // responsibilities
-  linalg::Matrix a(n, n);  // availabilities
+  const double damping = cfg.damping;
+  linalg::Matrix& r = *responsibilities;
+  linalg::Matrix& a = *availabilities;
+  r.Fill(0.0);
+  a.Fill(0.0);
+  std::vector<double> colsum(n);  // sum over i != k of max(0, r(i,k))
+  std::vector<double> rdiag(n);   // r(k,k) at the start of the sweep
+  std::vector<int> exemplars(n);
   std::vector<int> prev_exemplars(n, -1);
   int stable = 0;
   ApRun run;
 
+  // The first iteration's responsibilities (a = 0).
+  parallel::ParallelFor(n, kRowGrain, [&](std::size_t begin,
+                                          std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      UpdateResponsibilityRow(s.data() + i * n, a.data() + i * n, n, damping,
+                              r.data() + i * n);
+    }
+  });
   for (int iter = 0; iter < cfg.max_iterations; ++iter) {
     run.iterations = iter + 1;
-    // --- responsibilities ---
-    // Row i's update reads a/s and writes only r's row i: a parallel map.
-    parallel::ParallelFor(n, 32, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        // Find top-2 of a(i,k)+s(i,k) over k.
-        double best = -std::numeric_limits<double>::max();
-        double second = best;
-        std::size_t best_k = 0;
-        const double* arow = a.data() + i * n;
-        const double* srow = s.data() + i * n;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double v = arow[k] + srow[k];
-          if (v > best) {
-            second = best;
-            best = v;
-            best_k = k;
-          } else if (v > second) {
-            second = v;
-          }
-        }
-        double* rrow = r.data() + i * n;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double cap = (k == best_k) ? second : best;
-          const double newr = srow[k] - cap;
-          rrow[k] = cfg.damping * rrow[k] + (1 - cfg.damping) * newr;
-        }
-      }
-    });
-    // --- availabilities ---
-    // Column sums of max(0, r(i,k)) for i != k, plus r(k,k). Partitioned
-    // by column; each colsum[k] accumulates rows in serial order.
-    std::vector<double> colsum(n, 0.0);
-    parallel::ParallelFor(n, 32, [&](std::size_t k0, std::size_t k1) {
+    const bool last = iter + 1 == cfg.max_iterations;
+    parallel::ParallelFor(n, kColumnGrain, [&](std::size_t k0,
+                                               std::size_t k1) {
+      std::fill(colsum.begin() + k0, colsum.begin() + k1, 0.0);
       for (std::size_t i = 0; i < n; ++i) {
         const double* rrow = r.data() + i * n;
-        for (std::size_t k = k0; k < k1; ++k) {
-          if (i == k) continue;
-          colsum[k] += std::max(0.0, rrow[k]);
-        }
+        AddPositive(rrow, k0, std::clamp(i, k0, k1), colsum.data());
+        AddPositive(rrow, std::clamp(i + 1, k0, k1), k1, colsum.data());
       }
+      for (std::size_t k = k0; k < k1; ++k) rdiag[k] = r(k, k);
     });
-    parallel::ParallelFor(n, 32, [&](std::size_t begin, std::size_t end) {
+    parallel::ParallelFor(n, kRowGrain, [&](std::size_t begin,
+                                            std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         double* arow = a.data() + i * n;
-        const double* rrow = r.data() + i * n;
-        for (std::size_t k = 0; k < n; ++k) {
-          double newa;
-          if (i == k) {
-            newa = colsum[k];
-          } else {
-            const double without_i = colsum[k] - std::max(0.0, rrow[k]);
-            newa = std::min(0.0, r(k, k) + without_i);
-          }
-          arow[k] = cfg.damping * arow[k] + (1 - cfg.damping) * newa;
+        double* rrow = r.data() + i * n;
+        DampAvailabilities(rrow, colsum.data(), rdiag.data(), 0, i, damping,
+                           arow);
+        arow[i] = damping * arow[i] + (1 - damping) * colsum[i];
+        DampAvailabilities(rrow, colsum.data(), rdiag.data(), i + 1, n,
+                           damping, arow);
+        const std::size_t best_k = ArgmaxOfSum(arow, rrow, n);
+        exemplars[i] = static_cast<int>(best_k == n ? i : best_k);
+        if (!last) {  // nothing reads the responsibilities past the cap
+          UpdateResponsibilityRow(s.data() + i * n, arow, n, damping, rrow);
         }
-      }
-    });
-    // --- exemplar extraction & convergence check ---
-    std::vector<int> exemplars(n);
-    parallel::ParallelFor(n, 32, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        double best = -std::numeric_limits<double>::max();
-        std::size_t best_k = i;
-        const double* arow = a.data() + i * n;
-        const double* rrow = r.data() + i * n;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double v = arow[k] + rrow[k];
-          if (v > best) {
-            best = v;
-            best_k = k;
-          }
-        }
-        exemplars[i] = static_cast<int>(best_k);
       }
     });
     if (exemplars == prev_exemplars) {
       if (++stable >= cfg.convergence_window) {
         run.converged = true;
-        run.exemplar_of = std::move(exemplars);
         break;
       }
     } else {
       stable = 0;
     }
     prev_exemplars = exemplars;
-    run.exemplar_of = std::move(exemplars);
   }
+  run.exemplar_of = std::move(exemplars);
 
   // A point is an exemplar iff it elects itself; re-route every point to
   // its most similar actual exemplar for a consistent final assignment.
@@ -131,19 +269,20 @@ ApRun RunMessagePassing(const linalg::Matrix& s,
   }
   if (exemplar_set.empty()) {
     // Degenerate (all availabilities collapsed): pick the point with the
-    // highest self-responsibility as the single exemplar.
+    // highest self-responsibility as the single exemplar. rdiag holds the
+    // final iteration's r(k,k); r itself may already be one step ahead.
     std::size_t best_i = 0;
-    double best = -std::numeric_limits<double>::max();
+    double best = kFloor;
     for (std::size_t i = 0; i < n; ++i) {
-      if (r(i, i) > best) {
-        best = r(i, i);
+      if (rdiag[i] > best) {
+        best = rdiag[i];
         best_i = i;
       }
     }
     exemplar_set.push_back(best_i);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    double best = -std::numeric_limits<double>::max();
+    double best = kFloor;
     std::size_t best_e = exemplar_set[0];
     for (std::size_t e : exemplar_set) {
       if (s(i, e) > best) {
@@ -151,7 +290,7 @@ ApRun RunMessagePassing(const linalg::Matrix& s,
         best_e = e;
       }
     }
-    run.exemplar_of[i] = static_cast<int>(i == best_e ? best_e : best_e);
+    run.exemplar_of[i] = static_cast<int>(best_e);
     run.net_similarity += s(i, best_e);
   }
   run.num_exemplars = static_cast<int>(exemplar_set.size());
@@ -183,6 +322,9 @@ ClusteringResult AffinityPropagation::Cluster(const linalg::Matrix& x,
   // Similarity: negative squared Euclidean distance, plus tiny jitter to
   // break message-passing oscillation ties (Frey & Dueck's trick).
   linalg::Matrix s = linalg::PairwiseSquaredDistances(x);
+  // The pre-jitter off-diagonal similarities give the median preference
+  // and the bisection's bracket; Percentile consumes the buffer, so it is
+  // gone before message passing allocates its two n×n matrices.
   std::vector<double> off_diag;
   off_diag.reserve(n * (n - 1));
   rng::Rng rng(seed ^ 0x6170726f70ULL);  // "aprop" stream tag
@@ -193,17 +335,19 @@ ClusteringResult AffinityPropagation::Cluster(const linalg::Matrix& x,
       s(i, j) += 1e-12 * rng.Gaussian();
     }
   }
-  const double median_sim = linalg::Percentile(off_diag, 50.0);
-  double lo_sim = median_sim, hi_sim = median_sim;
+  double lo_sim = off_diag[0], hi_sim = off_diag[0];
   for (double v : off_diag) {
     lo_sim = std::min(lo_sim, v);
     hi_sim = std::max(hi_sim, v);
   }
+  const double median_sim = linalg::Percentile(std::move(off_diag), 50.0);
 
+  // Each probe writes its preference over s's diagonal in place and
+  // reuses the same two message buffers.
+  linalg::Matrix r(n, n), a(n, n);
   auto run_with_pref = [&](double pref) {
-    linalg::Matrix sp = s;
-    for (std::size_t i = 0; i < n; ++i) sp(i, i) = pref;
-    return RunMessagePassing(sp, config_);
+    for (std::size_t i = 0; i < n; ++i) s(i, i) = pref;
+    return RunMessagePassing(s, config_, &r, &a);
   };
 
   ApRun best_run;

@@ -24,6 +24,9 @@ StatusOr<std::unique_ptr<Clusterer>> MakeDensityPeaks(const ParamMap& p) {
   MCIRBM_ASSIGN_OR_RETURN(cfg.gaussian_kernel,
                       p.GetBool("gaussian_kernel", cfg.gaussian_kernel));
   if (cfg.k <= 0) return Status::InvalidArgument("dp: k must be positive");
+  if (!(cfg.dc_percentile > 0 && cfg.dc_percentile <= 100)) {
+    return Status::InvalidArgument("dp: dc_percentile must be in (0, 100]");
+  }
   return std::unique_ptr<Clusterer>(new DensityPeaks(cfg));
 }
 
@@ -39,6 +42,9 @@ StatusOr<std::unique_ptr<Clusterer>> MakeKMeans(const ParamMap& p) {
   MCIRBM_ASSIGN_OR_RETURN(cfg.tol, p.GetDouble("tol", cfg.tol));
   if (cfg.k <= 0) {
     return Status::InvalidArgument("kmeans: k must be positive");
+  }
+  if (cfg.max_iterations <= 0) {
+    return Status::InvalidArgument("kmeans: max_iterations must be positive");
   }
   if (cfg.restarts <= 0) {
     return Status::InvalidArgument("kmeans: restarts must be positive");
@@ -64,8 +70,11 @@ StatusOr<std::unique_ptr<Clusterer>> MakeAffinityPropagation(
   MCIRBM_ASSIGN_OR_RETURN(
       cfg.preference_search_steps,
       p.GetInt("preference_search_steps", cfg.preference_search_steps));
-  if (cfg.damping < 0.5 || cfg.damping >= 1.0) {
+  if (!(cfg.damping >= 0.5 && cfg.damping < 1.0)) {
     return Status::InvalidArgument("ap: damping must be in [0.5, 1)");
+  }
+  if (cfg.max_iterations <= 0) {
+    return Status::InvalidArgument("ap: max_iterations must be positive");
   }
   return std::unique_ptr<Clusterer>(new AffinityPropagation(cfg));
 }
@@ -111,6 +120,9 @@ StatusOr<std::unique_ptr<Clusterer>> MakeDbscan(const ParamMap& p) {
   if (opt.min_points <= 0) {
     return Status::InvalidArgument("dbscan: min_points must be positive");
   }
+  if (!(opt.eps_quantile >= 0 && opt.eps_quantile <= 100)) {
+    return Status::InvalidArgument("dbscan: eps_quantile must be in [0, 100]");
+  }
   return std::unique_ptr<Clusterer>(new Dbscan(opt));
 }
 
@@ -129,6 +141,9 @@ StatusOr<std::unique_ptr<Clusterer>> MakeGaussianMixture(const ParamMap& p) {
                       p.GetDouble("variance_floor", opt.variance_floor));
   if (opt.num_components <= 0) {
     return Status::InvalidArgument("gmm: k must be positive");
+  }
+  if (!(opt.variance_floor >= 0)) {
+    return Status::InvalidArgument("gmm: variance_floor must be >= 0");
   }
   return std::unique_ptr<Clusterer>(new GaussianMixture(opt));
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace mcirbm::linalg {
 
@@ -67,13 +68,19 @@ double StdDev(const std::vector<double>& xs) {
 double Percentile(std::vector<double> xs, double p) {
   MCIRBM_CHECK(!xs.empty());
   MCIRBM_CHECK(p >= 0 && p <= 100);
-  std::sort(xs.begin(), xs.end());
   if (xs.size() == 1) return xs[0];
   const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1 - frac) + xs[hi] * frac;
+  // The lo-th and (lo+1)-th order statistics, by selection: after
+  // nth_element everything past `nth` is >= it, so the next one up is
+  // their minimum.
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  const double x_lo = *nth;
+  const double x_hi = lo + 1 < xs.size() ? *std::min_element(nth + 1, xs.end())
+                                         : x_lo;
+  return x_lo * (1 - frac) + x_hi * frac;
 }
 
 }  // namespace mcirbm::linalg

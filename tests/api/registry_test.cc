@@ -67,6 +67,33 @@ TEST(ClustererRegistryTest, MalformedParameterRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
+// Values the clusterers CHECK on (at construction or inside Cluster) must
+// come back from Create as InvalidArgument, never reach the CHECK.
+TEST(ClustererRegistryTest, OutOfRangeValuesRejectedAtCreate) {
+  struct Case {
+    const char* clusterer;
+    const char* key;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"ap", "max_iterations", "0"},  {"ap", "damping", "nan"},
+      {"kmeans", "max_iterations", "0"},
+      {"dp", "dc_percentile", "0"},   {"dp", "dc_percentile", "150"},
+      {"dbscan", "eps_quantile", "150"},
+      {"dbscan", "eps_quantile", "-1"},
+      {"gmm", "variance_floor", "-1"},
+  };
+  for (const Case& c : cases) {
+    ParamMap params;
+    params.Set(c.key, c.value);
+    auto result =
+        clustering::ClustererRegistry::Global().Create(c.clusterer, params);
+    ASSERT_FALSE(result.ok()) << c.clusterer << " " << c.key << "=" << c.value;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << c.clusterer << " " << c.key << "=" << c.value;
+  }
+}
+
 TEST(ClustererRegistryTest, CreatedClusterersCluster) {
   data::GaussianMixtureSpec spec;
   spec.name = "reg";

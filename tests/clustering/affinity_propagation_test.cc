@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "clustering/partition.h"
 #include "data/synthetic.h"
+#include "linalg/ops.h"
+#include "linalg/stats.h"
 #include "metrics/external.h"
+#include "rng/rng.h"
 
 namespace mcirbm::clustering {
 namespace {
@@ -18,6 +28,246 @@ data::Dataset Blobs(int classes, int n, double separation,
   spec.num_features = 4;
   spec.separation = separation;
   return data::GenerateGaussianMixture(spec, seed);
+}
+
+// ---------------------------------------------------------------------
+// Reference: the straightforward message-passing loop (responsibilities,
+// column sums, availabilities, exemplars as four separate scalar passes)
+// and the preference handling around it, kept as the definition the
+// fused kernel must reproduce bit for bit.
+struct ReferenceRun {
+  std::vector<int> exemplar_of;
+  int num_exemplars = 0;
+  int iterations = 0;
+  bool converged = false;
+  double net_similarity = 0.0;
+};
+
+ReferenceRun ReferenceMessagePassing(const linalg::Matrix& s,
+                                     const AffinityPropagationConfig& cfg) {
+  const std::size_t n = s.rows();
+  linalg::Matrix r(n, n);
+  linalg::Matrix a(n, n);
+  std::vector<int> prev_exemplars(n, -1);
+  int stable = 0;
+  ReferenceRun run;
+  for (int iter = 0; iter < cfg.max_iterations; ++iter) {
+    run.iterations = iter + 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = -std::numeric_limits<double>::max();
+      double second = best;
+      std::size_t best_k = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double v = a(i, k) + s(i, k);
+        if (v > best) {
+          second = best;
+          best = v;
+          best_k = k;
+        } else if (v > second) {
+          second = v;
+        }
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const double cap = (k == best_k) ? second : best;
+        const double newr = s(i, k) - cap;
+        r(i, k) = cfg.damping * r(i, k) + (1 - cfg.damping) * newr;
+      }
+    }
+    std::vector<double> colsum(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < n; ++k) {
+        if (i != k) colsum[k] += std::max(0.0, r(i, k));
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < n; ++k) {
+        double newa;
+        if (i == k) {
+          newa = colsum[k];
+        } else {
+          const double without_i = colsum[k] - std::max(0.0, r(i, k));
+          newa = std::min(0.0, r(k, k) + without_i);
+        }
+        a(i, k) = cfg.damping * a(i, k) + (1 - cfg.damping) * newa;
+      }
+    }
+    std::vector<int> exemplars(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = -std::numeric_limits<double>::max();
+      std::size_t best_k = i;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double v = a(i, k) + r(i, k);
+        if (v > best) {
+          best = v;
+          best_k = k;
+        }
+      }
+      exemplars[i] = static_cast<int>(best_k);
+    }
+    if (exemplars == prev_exemplars) {
+      if (++stable >= cfg.convergence_window) {
+        run.converged = true;
+        run.exemplar_of = std::move(exemplars);
+        break;
+      }
+    } else {
+      stable = 0;
+    }
+    prev_exemplars = exemplars;
+    run.exemplar_of = std::move(exemplars);
+  }
+  std::vector<std::size_t> exemplar_set;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (run.exemplar_of[i] == static_cast<int>(i)) exemplar_set.push_back(i);
+  }
+  if (exemplar_set.empty()) {
+    std::size_t best_i = 0;
+    double best = -std::numeric_limits<double>::max();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (r(i, i) > best) {
+        best = r(i, i);
+        best_i = i;
+      }
+    }
+    exemplar_set.push_back(best_i);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double best = -std::numeric_limits<double>::max();
+    std::size_t best_e = exemplar_set[0];
+    for (std::size_t e : exemplar_set) {
+      if (s(i, e) > best) {
+        best = s(i, e);
+        best_e = e;
+      }
+    }
+    run.exemplar_of[i] = static_cast<int>(best_e);
+    run.net_similarity += s(i, best_e);
+  }
+  run.num_exemplars = static_cast<int>(exemplar_set.size());
+  return run;
+}
+
+ClusteringResult ReferenceCluster(const linalg::Matrix& x,
+                                  const AffinityPropagationConfig& cfg,
+                                  std::uint64_t seed) {
+  const std::size_t n = x.rows();
+  linalg::Matrix s = linalg::PairwiseSquaredDistances(x);
+  std::vector<double> off_diag;
+  rng::Rng rng(seed ^ 0x6170726f70ULL);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      s(i, j) = -s(i, j);
+      if (i != j) off_diag.push_back(s(i, j));
+      s(i, j) += 1e-12 * rng.Gaussian();
+    }
+  }
+  const double median_sim = linalg::Percentile(off_diag, 50.0);
+  double lo_sim = median_sim, hi_sim = median_sim;
+  for (double v : off_diag) {
+    lo_sim = std::min(lo_sim, v);
+    hi_sim = std::max(hi_sim, v);
+  }
+  auto run_with_pref = [&](double pref) {
+    linalg::Matrix sp = s;
+    for (std::size_t i = 0; i < n; ++i) sp(i, i) = pref;
+    return ReferenceMessagePassing(sp, cfg);
+  };
+  ReferenceRun best_run;
+  if (cfg.target_clusters <= 0) {
+    best_run = run_with_pref(median_sim);
+  } else {
+    double lo = lo_sim * 4.0;
+    double hi = std::min(hi_sim, -1e-9);
+    best_run = run_with_pref(lo);
+    int best_gap = std::abs(best_run.num_exemplars - cfg.target_clusters);
+    for (int step = 0; step < cfg.preference_search_steps && best_gap > 0;
+         ++step) {
+      const double mid = 0.5 * (lo + hi);
+      ReferenceRun mid_run = run_with_pref(mid);
+      const int gap = std::abs(mid_run.num_exemplars - cfg.target_clusters);
+      if (gap < best_gap ||
+          (gap == best_gap && mid_run.converged && !best_run.converged)) {
+        best_gap = gap;
+        best_run = mid_run;
+      }
+      if (mid_run.num_exemplars > cfg.target_clusters) {
+        hi = mid;
+      } else if (mid_run.num_exemplars < cfg.target_clusters) {
+        lo = mid;
+      } else {
+        break;
+      }
+    }
+  }
+  ClusteringResult result;
+  result.assignment = best_run.exemplar_of;
+  result.num_clusters = CompactRelabel(&result.assignment);
+  result.iterations = best_run.iterations;
+  result.converged = best_run.converged;
+  result.objective = best_run.net_similarity;
+  return result;
+}
+
+// Returns the fused kernel's result for further checks.
+ClusteringResult ExpectMatchesReference(const linalg::Matrix& x,
+                                        const AffinityPropagationConfig& cfg,
+                                        std::uint64_t seed) {
+  const ClusteringResult want = ReferenceCluster(x, cfg, seed);
+  const ClusteringResult got = AffinityPropagation(cfg).Cluster(x, seed);
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.num_clusters, want.num_clusters);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+            std::bit_cast<std::uint64_t>(want.objective))
+      << got.objective << " vs " << want.objective;
+  return got;
+}
+
+TEST(AffinityPropagationTest, MatchesReferenceLoopExactly) {
+  // Sizes that are not multiples of the scan lanes or the shard grains.
+  for (const int n : {2, 3, 5, 131}) {
+    const auto d = Blobs(std::min(n, 3), n, 4.0, 40 + n);
+    for (const int target : {0, 2}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << target);
+      AffinityPropagationConfig cfg;
+      cfg.target_clusters = target;
+      ExpectMatchesReference(d.x, cfg, 7);
+    }
+  }
+}
+
+TEST(AffinityPropagationTest, MatchesReferenceWhenTheCapIsHit) {
+  const auto d = Blobs(3, 131, 2.0, 8);
+  for (const int cap : {1, 2, 9}) {
+    for (const int target : {0, 3}) {
+      SCOPED_TRACE(::testing::Message() << "cap=" << cap << " k=" << target);
+      AffinityPropagationConfig cfg;
+      cfg.max_iterations = cap;
+      cfg.target_clusters = target;
+      const ClusteringResult got = ExpectMatchesReference(d.x, cfg, 3);
+      EXPECT_EQ(got.iterations, cap);
+      EXPECT_FALSE(got.converged);
+    }
+  }
+}
+
+TEST(AffinityPropagationTest, MatchesReferenceOnExactTies) {
+  // Five points, each repeated seven times, at a scale where the 1e-12
+  // jitter is below one ulp of every nonzero similarity: duplicate
+  // columns then tie exactly, so the scans' first-index rule decides.
+  const double centers[5][2] = {{0, 0}, {3, 0}, {0, 4}, {3, 4}, {9, 9}};
+  linalg::Matrix x(35, 2);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    x(i, 0) = 1e6 * centers[i % 5][0];
+    x(i, 1) = 1e6 * centers[i % 5][1];
+  }
+  for (const int target : {0, 2, 5}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << target);
+    AffinityPropagationConfig cfg;
+    cfg.target_clusters = target;
+    ExpectMatchesReference(x, cfg, 11);
+  }
 }
 
 TEST(AffinityPropagationTest, RecoversWellSeparatedBlobs) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 namespace mcirbm::linalg {
 namespace {
@@ -61,6 +65,34 @@ TEST(PercentileTest, Extremes) {
 
 TEST(PercentileTest, SingleElement) {
   EXPECT_DOUBLE_EQ(Percentile({7.0}, 30), 7);
+}
+
+// The definition Percentile must equal bit for bit: sort everything, then
+// interpolate between the two straddling order statistics.
+double SortedPercentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs[0];
+  const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1 - frac) + xs[hi] * frac;
+}
+
+TEST(PercentileTest, SelectionEqualsFullSortExactly) {
+  std::mt19937_64 gen(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + gen() % 500;
+    // Few distinct values in most trials, so order statistics repeat.
+    const std::uint64_t distinct = trial % 3 == 0 ? n : 1 + gen() % 8;
+    std::vector<double> xs(n);
+    for (double& x : xs) x = static_cast<double>(gen() % distinct) * 0.37;
+    for (const double p : {0.0, 2.0, 12.5, 50.0, 75.0, 99.9, 100.0,
+                           static_cast<double>(gen() % 10001) / 100.0}) {
+      EXPECT_EQ(Percentile(xs, p), SortedPercentile(xs, p))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(PercentileTest, InputNotMutated) {

@@ -1,5 +1,5 @@
 // Bit-parity of the parallelized hot kernels across thread counts: every
-// result below must be *identical* (not merely close) at 1, 2 and 8
+// result below must be *identical* (not merely close) at 1, 2, 4 and 8
 // threads, because shard boundaries and reduction trees are fixed by the
 // problem size alone. A failure here means a kernel picked up a
 // thread-count-dependent schedule.
@@ -7,7 +7,9 @@
 
 #include <vector>
 
+#include "clustering/affinity_propagation.h"
 #include "clustering/agglomerative.h"
+#include "clustering/density_peaks.h"
 #include "clustering/gmm.h"
 #include "clustering/kmeans.h"
 #include "clustering/spectral.h"
@@ -23,8 +25,6 @@
 
 namespace mcirbm {
 namespace {
-
-constexpr int kWidths[] = {1, 2, 8};
 
 class ParityTest : public ::testing::Test {
  protected:
@@ -55,6 +55,21 @@ void ExpectSameMatrixAtAllWidths(const Fn& compute) {
       ASSERT_EQ(got.data()[i], reference.data()[i])
           << "element " << i << " differs at " << width << " threads";
     }
+  }
+}
+
+void ExpectSameClusteringAtAllWidths(const clustering::Clusterer& clusterer,
+                                     const linalg::Matrix& x) {
+  parallel::SetNumThreads(1);
+  const auto reference = clusterer.Cluster(x, 5);
+  for (int width : {2, 4, 8}) {
+    parallel::SetNumThreads(width);
+    const auto got = clusterer.Cluster(x, 5);
+    EXPECT_EQ(got.assignment, reference.assignment)
+        << clusterer.name() << " labels differ at " << width << " threads";
+    EXPECT_EQ(got.iterations, reference.iterations);
+    EXPECT_EQ(got.converged, reference.converged);
+    EXPECT_EQ(got.objective, reference.objective);
   }
 }
 
@@ -96,16 +111,7 @@ TEST_F(ParityTest, KMeansLabelsIdenticalAcrossWidths) {
 
   clustering::KMeansConfig cfg;
   cfg.k = 4;
-  parallel::SetNumThreads(1);
-  const auto reference = clustering::KMeans(cfg).Cluster(ds.x, 5);
-  for (int width : {2, 8}) {
-    parallel::SetNumThreads(width);
-    const auto got = clustering::KMeans(cfg).Cluster(ds.x, 5);
-    EXPECT_EQ(got.assignment, reference.assignment)
-        << "labels differ at " << width << " threads";
-    EXPECT_EQ(got.objective, reference.objective);
-    EXPECT_EQ(got.iterations, reference.iterations);
-  }
+  ExpectSameClusteringAtAllWidths(clustering::KMeans(cfg), ds.x);
 }
 
 TEST_F(ParityTest, FastKMeansModeIsThreadCountInvariant) {
@@ -123,14 +129,7 @@ TEST_F(ParityTest, FastKMeansModeIsThreadCountInvariant) {
   clustering::KMeansConfig cfg;
   cfg.k = 3;
   parallel::SetDeterministic(false);
-  parallel::SetNumThreads(1);
-  const auto reference = clustering::KMeans(cfg).Cluster(ds.x, 5);
-  for (int width : {2, 8}) {
-    parallel::SetNumThreads(width);
-    const auto got = clustering::KMeans(cfg).Cluster(ds.x, 5);
-    EXPECT_EQ(got.assignment, reference.assignment);
-    EXPECT_EQ(got.objective, reference.objective);
-  }
+  ExpectSameClusteringAtAllWidths(clustering::KMeans(cfg), ds.x);
   parallel::SetDeterministic(true);
 }
 
@@ -212,17 +211,31 @@ TEST_F(ParityTest, AgglomerativeLabelsIdenticalAcrossWidths) {
   const data::Dataset ds = ParityDataset(4, 300, 6, 41);
   for (const auto linkage :
        {clustering::Linkage::kWard, clustering::Linkage::kComplete}) {
-    const clustering::Agglomerative agg(4, linkage);
-    parallel::SetNumThreads(1);
-    const auto reference = agg.Cluster(ds.x, 0);
-    for (int width : {2, 4, 8}) {
-      parallel::SetNumThreads(width);
-      const auto got = agg.Cluster(ds.x, 0);
-      EXPECT_EQ(got.assignment, reference.assignment)
-          << LinkageName(linkage) << " labels differ at " << width
-          << " threads";
-    }
+    ExpectSameClusteringAtAllWidths(clustering::Agglomerative(4, linkage),
+                                    ds.x);
   }
+}
+
+TEST_F(ParityTest, AffinityPropagationIdenticalAcrossWidths) {
+  // 300 rows: the sweep's row shards (grain 32) and the column-sum shards
+  // (grain 256) both split. Both preference modes: the median preference
+  // and the bisection.
+  const data::Dataset ds = ParityDataset(3, 300, 8, 59);
+  for (const int target : {0, 3}) {
+    clustering::AffinityPropagationConfig cfg;
+    cfg.target_clusters = target;
+    ExpectSameClusteringAtAllWidths(clustering::AffinityPropagation(cfg),
+                                    ds.x);
+  }
+}
+
+TEST_F(ParityTest, DensityPeaksIdenticalAcrossWidths) {
+  // 300 rows: the density scans (grain 64) and the nearest-higher scan
+  // (grain 16) split into several shards.
+  const data::Dataset ds = ParityDataset(4, 300, 8, 61);
+  clustering::DensityPeaksConfig cfg;
+  cfg.k = 4;
+  ExpectSameClusteringAtAllWidths(clustering::DensityPeaks(cfg), ds.x);
 }
 
 TEST_F(ParityTest, PcaFitAndTransformBitIdenticalAcrossWidths) {
