@@ -2,18 +2,18 @@
 // and the replica-sharded serve::Router.
 //
 // A tiny GRBM encoder is trained once, saved, and served from the model
-// store; client threads then hammer the Server with single-row Transform
-// requests. The sweep crosses batch size (max_batch_rows 1 = no
+// store; client threads then hammer a serve::Router with single-row
+// Transform requests. The sweep crosses batch size (max_batch_rows 1 = no
 // coalescing, i.e. one-row-at-a-time passes, vs 8/32/128) with pool
 // width 1/2/4/8 and reports requests/sec plus p50/p95/p99 queue latency
 // derived from the serving layer's own obs histograms (the same
 // serve_queue_wait_micros series op=stats exposes), merged across model
 // keys — so the bench exercises the production metrics path instead of a
-// bench-only latency vector.
-// A second sweep (serve_replicas1/2/4) fixes the batch size at 32 and
-// scales the Router's replica count instead, spreading requests over 16
-// model keys so the key-hash actually shards — the number to watch on a
-// multi-socket box is rps vs replicas at a fixed pool width.
+// bench-only latency vector. That sweep serves one model key from one
+// replica. A second sweep (serve_replicas1/2/4) fixes the batch size at
+// 32 and scales the Router's replica count instead, spreading requests
+// over 16 model keys so the key-hash actually shards — the number to
+// watch on a multi-socket box is rps vs replicas at a fixed pool width.
 //
 // Output is the same JSON shape as bench/parallel_scaling.cc — a
 // top-level {"hardware_threads", "kernels": [{"name", "n", "results":
@@ -66,7 +66,7 @@ struct Result {
   double p99_micros = 0;
   double mean_batch_rows = 0;
   // Mean per-span breakdown from sampled traces (obs/trace.h). At the
-  // Server/Router layer only queue and exec spans exist — format is the
+  // Router layer only queue and exec spans exist — format is the
   // executor's span and stays 0 here (net_throughput reports it).
   double span_queue_micros = 0;
   double span_exec_micros = 0;
@@ -102,17 +102,6 @@ void FillSpanMeans(const obs::TraceStore& store, Result* result) {
   result->span_format_micros = counts[2] ? sums[2] / counts[2] : 0;
 }
 
-// Folds every serve_queue_wait_micros series (one per model key) into a
-// single histogram snapshot — quantiles of the merge are quantiles of
-// the whole request stream.
-obs::Histogram::Snapshot MergedQueueWait(const obs::MetricsSnapshot& snap) {
-  obs::Histogram::Snapshot merged;
-  for (const auto& [key, histogram] : snap.histograms) {
-    if (key.first == "serve_queue_wait_micros") merged.Merge(histogram);
-  }
-  return merged;
-}
-
 linalg::Matrix RowOf(const linalg::Matrix& x, std::size_t r) {
   linalg::Matrix row(1, x.cols());
   std::memcpy(row.data(), x.data() + r * x.cols(),
@@ -121,88 +110,26 @@ linalg::Matrix RowOf(const linalg::Matrix& x, std::size_t r) {
 }
 
 // One measurement: `clients` threads submit `requests` single-row
-// transforms against a fresh Server serving `model_path`; best-of-`reps`
-// wall time, latency percentiles from the batcher's queue-wait records.
+// transforms round-robin over `keys` (the same artifact Put under each
+// name, so a replica count > 1 genuinely shards the stream across
+// batchers) against a fresh Router; best-of-`reps` wall time, latency
+// percentiles from the batchers' queue-wait histograms.
 Result Measure(const std::string& model_path, const linalg::Matrix& x,
-               int threads, std::size_t max_batch_rows,
-               std::size_t requests, int clients, int reps) {
+               int threads, std::size_t replicas, std::size_t max_batch_rows,
+               const std::vector<std::string>& keys, std::size_t requests,
+               int clients, int reps) {
   Result result;
   result.threads = threads;
   parallel::SetNumThreads(threads);
   double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    serve::ServerConfig config;
-    config.batcher.max_batch_rows = max_batch_rows;
-    config.batcher.max_queue_micros = 200;
-    serve::Server server(config);
-    if (!server.store().Get(model_path).ok()) std::abort();  // pre-warm
-    obs::TraceStore trace_store(BenchTraceConfig());
-
-    WallTimer timer;
-    std::vector<std::thread> workers;
-    for (int c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
-        std::vector<std::shared_ptr<obs::TraceContext>> traces;
-        futures.reserve(requests / clients + 1);
-        traces.reserve(requests / clients + 1);
-        for (std::size_t r = c; r < requests;
-             r += static_cast<std::size_t>(clients)) {
-          auto trace =
-              trace_store.MaybeStartTrace("transform", "", MonotonicMicros());
-          futures.push_back(
-              server.Submit(model_path, RowOf(x, r % x.rows()), trace));
-          traces.push_back(std::move(trace));
-        }
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-          if (!futures[i].get().ok()) std::abort();
-          trace_store.Finish(traces[i], MonotonicMicros());
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    const double seconds = timer.Seconds();
-    if (seconds < best) {
-      best = seconds;
-      result.seconds = seconds;
-      result.rps = static_cast<double>(requests) / seconds;
-      const obs::Histogram::Snapshot waits =
-          MergedQueueWait(server.metrics_snapshot());
-      result.p50_micros = waits.Quantile(0.50);
-      result.p95_micros = waits.Quantile(0.95);
-      result.p99_micros = waits.Quantile(0.99);
-      result.mean_batch_rows = server.stats().batcher.MeanBatchRows();
-      FillSpanMeans(trace_store, &result);
-    }
-    server.Shutdown();
-  }
-  return result;
-}
-
-// One Router measurement: requests spread round-robin over `kRouterKeys`
-// in-memory model keys (the same artifact Put under each name), so a
-// replica count > 1 genuinely shards the stream across batchers.
-constexpr int kRouterKeys = 16;
-
-Result MeasureRouter(const std::string& model_path, const linalg::Matrix& x,
-                     int threads, std::size_t replicas,
-                     std::size_t requests, int clients, int reps) {
-  Result result;
-  result.threads = threads;
-  parallel::SetNumThreads(threads);
-  double best = 1e300;
-  std::vector<std::string> keys;
-  for (int k = 0; k < kRouterKeys; ++k) {
-    keys.push_back("replica_key_" + std::to_string(k));
-  }
   for (int rep = 0; rep < reps; ++rep) {
     serve::RouterConfig config;
     config.replicas = replicas;
-    config.batcher.max_batch_rows = 32;
+    config.batcher.max_batch_rows = max_batch_rows;
     config.batcher.max_queue_micros = 200;
     // The shared store must hold every pre-warmed key, or the LRU would
     // evict the early ones and the submit path would miss to disk.
-    config.store_capacity = kRouterKeys;
+    config.store_capacity = keys.size();
     serve::Router router(config);
     for (const std::string& key : keys) {  // pre-warm the shared store
       auto model = api::Model::Load(model_path);
@@ -239,12 +166,18 @@ Result MeasureRouter(const std::string& model_path, const linalg::Matrix& x,
       best = seconds;
       result.seconds = seconds;
       result.rps = static_cast<double>(requests) / seconds;
+      // Every future has resolved, so every accepted row went through a
+      // batch and rows / batches is the exact mean batch size.
+      const obs::MetricsSnapshot metrics = router.metrics_snapshot();
       const obs::Histogram::Snapshot waits =
-          MergedQueueWait(router.metrics_snapshot());
+          metrics.HistogramTotal("serve_queue_wait_micros");
       result.p50_micros = waits.Quantile(0.50);
       result.p95_micros = waits.Quantile(0.95);
       result.p99_micros = waits.Quantile(0.99);
-      result.mean_batch_rows = router.stats().batcher.MeanBatchRows();
+      result.mean_batch_rows =
+          static_cast<double>(metrics.CounterTotal("serve_rows_total")) /
+          static_cast<double>(std::max<std::uint64_t>(
+              1, metrics.CounterTotal("serve_batches_total")));
       FillSpanMeans(trace_store, &result);
     }
     router.Shutdown();
@@ -304,8 +237,8 @@ int main() {
     std::cerr << "training failed: " << trained.status().ToString() << "\n";
     return 1;
   }
-  // Persist once; every Server rep loads it through its own ModelStore
-  // (the disk hit is one miss per rep, outside the contested path).
+  // Persist once; every rep loads it and Puts it into its Router's store
+  // under each served key, outside the timed window.
   const std::string model_path = "mcirbm_serve_bench_model.txt";
   if (!trained.value().Save(model_path).ok()) {
     std::cerr << "cannot write " << model_path << "\n";
@@ -317,19 +250,26 @@ int main() {
   for (std::size_t b = 0; b < batch_sizes.size(); ++b) {
     std::vector<Result> results;
     for (int threads : widths) {
-      results.push_back(Measure(model_path, ds.x, threads, batch_sizes[b],
-                                requests, clients, reps));
+      results.push_back(Measure(model_path, ds.x, threads, /*replicas=*/1,
+                                batch_sizes[b], {model_path}, requests,
+                                clients, reps));
     }
     EmitKernel("serve_batch" + std::to_string(batch_sizes[b]), requests,
                results, /*last=*/false);
+  }
+  // The replica sweep spreads requests over 16 model keys so the
+  // key-hash has something to shard.
+  std::vector<std::string> router_keys;
+  for (int k = 0; k < 16; ++k) {
+    router_keys.push_back("replica_key_" + std::to_string(k));
   }
   const std::vector<std::size_t> replica_counts = {1, 2, 4};
   for (std::size_t r = 0; r < replica_counts.size(); ++r) {
     std::vector<Result> results;
     for (int threads : widths) {
-      results.push_back(MeasureRouter(model_path, ds.x, threads,
-                                      replica_counts[r], requests, clients,
-                                      reps));
+      results.push_back(Measure(model_path, ds.x, threads, replica_counts[r],
+                                /*max_batch_rows=*/32, router_keys, requests,
+                                clients, reps));
     }
     EmitKernel("serve_replicas" + std::to_string(replica_counts[r]),
                requests, results, r + 1 == replica_counts.size());

@@ -92,6 +92,27 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   }
 }
 
+// Keys sort by (name, label) and "" is the smallest label, so every
+// label of `name` sits in one run starting at lower_bound({name, ""}).
+std::uint64_t MetricsSnapshot::CounterTotal(const std::string& name) const {
+  std::uint64_t total = 0;
+  for (auto it = counters.lower_bound({name, ""});
+       it != counters.end() && it->first.first == name; ++it) {
+    total += it->second;
+  }
+  return total;
+}
+
+Histogram::Snapshot MetricsSnapshot::HistogramTotal(
+    const std::string& name) const {
+  Histogram::Snapshot total;
+  for (auto it = histograms.lower_bound({name, ""});
+       it != histograms.end() && it->first.first == name; ++it) {
+    total.Merge(it->second);
+  }
+  return total;
+}
+
 std::string MetricsSnapshot::RenderText() const {
   std::ostringstream out;
   for (const auto& [key, value] : counters) {

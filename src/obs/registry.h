@@ -56,6 +56,13 @@ struct MetricsSnapshot {
   /// bucket-wise. Associative and commutative.
   void Merge(const MetricsSnapshot& other);
 
+  /// Counter `name` summed over every label (0 when absent) — the
+  /// all-models total behind e.g. the CLI's `requests=` summary field.
+  std::uint64_t CounterTotal(const std::string& name) const;
+  /// Histogram `name` merged over every label (empty when absent), so
+  /// its quantiles and mean describe the whole request stream.
+  Histogram::Snapshot HistogramTotal(const std::string& name) const;
+
   /// Prometheus-style text: one `name{model="v"} value` line per scalar
   /// (no braces when the label is empty); histograms expand to
   /// quantile="0.5|0.9|0.95|0.99" lines plus `_count`, `_sum`, `_min`,

@@ -67,7 +67,7 @@ RequestExecutor::DatasetCache::Get(const std::string& path,
   }
   // Load and preprocess outside the lock so a slow disk read does not
   // serialize every concurrent handler; two racing misses both load and
-  // the second insert wins (both copies are identical and immutable).
+  // the re-check below hands the second one the first one's entry.
   // `path` is a loader spec, so serving accepts every registered dataset
   // format (csv, binary, libsvm, synth) through one cache.
   auto loaded = data::LoadDataset(path);
@@ -83,6 +83,10 @@ RequestExecutor::DatasetCache::Get(const std::string& path,
   }
   auto shared = std::make_shared<const data::Dataset>(std::move(ds));
   MutexLock lock(mu_);
+  // A racing miss inserted the key first: inserting again would evict a
+  // live entry for a key that is already cached.
+  auto it = cache_.find(key);
+  if (it != cache_.end()) return it->second;
   while (cache_.size() >= capacity_) {
     cache_.erase(order_.front());
     order_.pop_front();

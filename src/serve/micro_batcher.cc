@@ -20,18 +20,10 @@ std::future<StatusOr<T>> FailedFuture(Status status) {
   return promise.get_future();
 }
 
-std::shared_ptr<obs::Registry> RegistryOrPrivate(
-    const std::shared_ptr<obs::Registry>& configured) {
-  return configured != nullptr ? configured
-                               : std::make_shared<obs::Registry>();
-}
-
 }  // namespace
 
 MicroBatcher::MicroBatcher(const BatcherConfig& config)
-    : config_(config),
-      registry_(RegistryOrPrivate(config.registry)),
-      flusher_([this] { FlusherLoop(); }) {}
+    : config_(config), flusher_([this] { FlusherLoop(); }) {}
 
 MicroBatcher::~MicroBatcher() { Shutdown(); }
 
@@ -45,8 +37,8 @@ void MicroBatcher::UpdateGauges(const std::string& key) {
   const double rows = load_it == key_loads_.end()
                           ? 0.0
                           : static_cast<double>(load_it->second);
-  registry_->gauge("serve_queue_depth", key).Set(depth);
-  registry_->gauge("serve_pending_rows", key).Set(rows);
+  registry_.gauge("serve_queue_depth", key).Set(depth);
+  registry_.gauge("serve_pending_rows", key).Set(rows);
 }
 
 Status MicroBatcher::Enqueue(
@@ -88,8 +80,7 @@ Status MicroBatcher::Enqueue(
       const std::size_t held =
           queue_it->second.pending_rows + queue_it->second.sealed_rows;
       if (held + rows.rows() > config_.max_pending_rows) {
-        ++stats_.rejected_requests;
-        registry_->counter("serve_rejected_total", key).Increment();
+        registry_.counter("serve_rejected_total", key).Increment();
         return Status::Unavailable(
             "queue for model '" + key + "' is full (" +
             std::to_string(held) + " of " +
@@ -97,8 +88,7 @@ Status MicroBatcher::Enqueue(
       }
     }
     if (config_.admission != nullptr && !config_.admission->TryAcquire()) {
-      ++stats_.rejected_requests;
-      registry_->counter("serve_rejected_total", key).Increment();
+      registry_.counter("serve_rejected_total", key).Increment();
       return Status::Unavailable(
           "server is at its inflight-request limit (" +
           std::to_string(config_.admission->max_inflight()) + ")");
@@ -155,12 +145,10 @@ Status MicroBatcher::Enqueue(
     const std::size_t accepted_rows = rows.rows();
     queue.pending.push_back(
         Request{std::move(rows), now, std::move(complete), std::move(trace)});
-    ++stats_.requests;
-    stats_.rows += accepted_rows;
     key_loads_[key] += accepted_rows;
     load_.fetch_add(accepted_rows, std::memory_order_relaxed);
-    registry_->counter("serve_requests_total", key).Increment();
-    registry_->counter("serve_rows_total", key).Increment(accepted_rows);
+    registry_.counter("serve_requests_total", key).Increment();
+    registry_.counter("serve_rows_total", key).Increment(accepted_rows);
     UpdateGauges(key);
   }
   cv_.NotifyOne();
@@ -308,29 +296,19 @@ void MicroBatcher::FlusherLoop() {
     // run the (possibly slow) batched passes without holding the lock so
     // submitters keep queuing into the next batch.
     for (const Batch& batch : due) {
-      switch (batch.trigger) {
-        case FlushTrigger::kFull:
-          ++stats_.full_flushes;
-          break;
-        case FlushTrigger::kDeadline:
-          ++stats_.deadline_flushes;
-          break;
-        case FlushTrigger::kSwap:
-          ++stats_.swap_flushes;
-          break;
+      const char* trigger_counter = "serve_deadline_flushes_total";
+      if (batch.trigger == FlushTrigger::kFull) {
+        trigger_counter = "serve_full_flushes_total";
+      } else if (batch.trigger == FlushTrigger::kSwap) {
+        trigger_counter = "serve_swap_flushes_total";
       }
-      ++stats_.batches;
-      stats_.batched_rows += batch.rows;
-      registry_->counter("serve_batches_total", batch.key).Increment();
+      registry_.counter(trigger_counter, batch.key).Increment();
+      registry_.counter("serve_batches_total", batch.key).Increment();
       obs::Histogram& queue_wait_histogram =
-          registry_->histogram("serve_queue_wait_micros", batch.key);
+          registry_.histogram("serve_queue_wait_micros", batch.key);
       for (const Request& request : batch.requests) {
-        const double waited =
-            static_cast<double>(now - request.enqueued_micros);
-        stats_.total_queue_micros += waited;
-        stats_.max_queue_micros = std::max(stats_.max_queue_micros, waited);
-        queue_wait_histogram.Record(waited);
-        if (config_.record_latencies) latencies_micros_.push_back(waited);
+        queue_wait_histogram.Record(
+            static_cast<double>(now - request.enqueued_micros));
         if (request.trace != nullptr) {
           request.trace->AddSpan("queue", request.enqueued_micros,
                                  now - request.enqueued_micros, batch.key,
@@ -359,7 +337,7 @@ void MicroBatcher::SettleLoad(const std::string& key, std::size_t rows) {
 
 void MicroBatcher::ExecuteBatch(Batch* batch) {
   obs::Histogram& exec_histogram =
-      registry_->histogram("serve_batch_exec_micros", batch->key);
+      registry_.histogram("serve_batch_exec_micros", batch->key);
   const std::int64_t started = MonotonicMicros();
   // A lone request needs no assembly or slicing: its rows *are* the
   // batch, and the result matrix is handed over whole.
@@ -421,16 +399,6 @@ void MicroBatcher::ExecuteBatch(Batch* batch) {
     offset += request.rows.rows();
     request.complete(std::move(slice));
   }
-}
-
-MicroBatcher::Stats MicroBatcher::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-std::vector<double> MicroBatcher::latencies_micros() const {
-  MutexLock lock(mu_);
-  return latencies_micros_;
 }
 
 std::size_t MicroBatcher::pending_queues() const {

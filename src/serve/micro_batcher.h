@@ -27,15 +27,17 @@
 // Backpressure is fail-fast: when a queue is over max_pending_rows, or
 // the shared AdmissionController is out of inflight slots, the
 // submission's future resolves immediately with kUnavailable (counted in
-// Stats::rejected_requests) — overflow never blocks the caller and never
+// serve_rejected_total) — overflow never blocks the caller and never
 // drops a request silently.
 //
-// Observability: every batcher records into an obs::Registry (its own,
-// or one injected via BatcherConfig::registry) — per-model-key
-// serve_queue_wait_micros / serve_batch_exec_micros histograms, live
-// serve_queue_depth / serve_pending_rows gauges, and
-// serve_{requests,rows,batches,rejected}_total counters. All timing
-// reads util::MonotonicMicros(), the same clock as the bench drivers.
+// Observability: the batcher's own obs::Registry is its only record of
+// what it did — per-model-key serve_queue_wait_micros /
+// serve_batch_exec_micros histograms, live serve_queue_depth /
+// serve_pending_rows gauges, serve_{requests,rows,batches,rejected}_total
+// counters, and one serve_{full,deadline,swap}_flushes_total counter per
+// flush trigger (the three always sum to serve_batches_total). All
+// timing reads util::MonotonicMicros(), the same clock as the bench
+// drivers.
 //
 // Tracing: a submission may carry an obs::TraceContext (null for the
 // common untraced case — one branch per stage). A traced request gets a
@@ -120,16 +122,6 @@ struct BatcherConfig {
   /// a submission that cannot acquire an inflight slot is rejected with
   /// kUnavailable. Null means no global bound.
   std::shared_ptr<AdmissionController> admission;
-  /// Keep every request's queue latency for percentile analysis
-  /// (bench/serve_throughput.cc). Off by default: a long-lived server
-  /// should not grow memory per request.
-  bool record_latencies = false;
-  /// Metrics sink. The batcher records per-model-key queue-wait and
-  /// batch-execution histograms, live queue-depth / pending-rows gauges,
-  /// and request/row/batch/rejection counters into it (fixed-size state,
-  /// always on). Null means the batcher creates a private registry;
-  /// share one only if the sharer outlives the batcher.
-  std::shared_ptr<obs::Registry> registry;
 };
 
 /// Coalesces per-model inference requests into batched passes.
@@ -169,64 +161,6 @@ class MicroBatcher {
   /// the destructor.
   void Shutdown();
 
-  /// Monotonic counters since construction.
-  struct Stats {
-    std::uint64_t requests = 0;          ///< accepted submissions
-    std::uint64_t rows = 0;              ///< total rows accepted
-    std::uint64_t batches = 0;           ///< batched passes executed
-    std::uint64_t batched_rows = 0;      ///< rows across those passes
-    std::uint64_t full_flushes = 0;      ///< flushed by max_batch_rows
-    std::uint64_t deadline_flushes = 0;  ///< flushed by timer or Shutdown
-    std::uint64_t swap_flushes = 0;      ///< sealed by a model hot-swap
-    /// Submissions rejected by backpressure (max_pending_rows or the
-    /// shared AdmissionController) — not shutdown rejections.
-    std::uint64_t rejected_requests = 0;
-    double total_queue_micros = 0;       ///< summed per-request queue wait
-    double max_queue_micros = 0;
-
-    /// Folds another batcher's counters into this one (replica
-    /// aggregation — serve::Router). Lives next to the field list so a
-    /// new counter cannot be forgotten here silently.
-    ///
-    /// Merge semantics, pinned by tests/serve/router_test.cc: every
-    /// counter and every summed total (total_queue_micros included)
-    /// ADDS; max_queue_micros takes the MAX (the max of a union is the
-    /// max of the per-part maxes). Derived means must be recomputed
-    /// from the merged totals — MeanQueueMicros() of the sum — never by
-    /// averaging per-replica means, which would weight an idle replica
-    /// the same as a saturated one.
-    void Add(const Stats& other) {
-      requests += other.requests;
-      rows += other.rows;
-      batches += other.batches;
-      batched_rows += other.batched_rows;
-      full_flushes += other.full_flushes;
-      deadline_flushes += other.deadline_flushes;
-      swap_flushes += other.swap_flushes;
-      rejected_requests += other.rejected_requests;
-      total_queue_micros += other.total_queue_micros;
-      if (other.max_queue_micros > max_queue_micros) {
-        max_queue_micros = other.max_queue_micros;
-      }
-    }
-
-    double MeanBatchRows() const {
-      return batches == 0 ? 0.0
-                          : static_cast<double>(batched_rows) /
-                                static_cast<double>(batches);
-    }
-    double MeanQueueMicros() const {
-      return requests == 0 ? 0.0
-                           : total_queue_micros /
-                                 static_cast<double>(requests);
-    }
-  };
-  Stats stats() const;
-
-  /// Per-request queue latencies (enqueue -> flush start), recorded only
-  /// when BatcherConfig::record_latencies is set.
-  std::vector<double> latencies_micros() const;
-
   /// Number of model keys with requests currently queued (drained keys
   /// are dropped, so an idle batcher reports 0 regardless of how many
   /// distinct keys it has ever served).
@@ -244,12 +178,10 @@ class MicroBatcher {
   /// load-aware router must keep routing it to this batcher.
   std::size_t key_load(const std::string& key) const;
 
-  /// The metrics sink (the config's registry, or the private one).
-  const std::shared_ptr<obs::Registry>& registry() const {
-    return registry_;
-  }
+  /// This batcher's counters, gauges and histograms (see the header
+  /// comment); serve::Router merges one per replica.
   obs::MetricsSnapshot metrics_snapshot() const {
-    return registry_->snapshot();
+    return registry_.snapshot();
   }
 
  private:
@@ -278,7 +210,7 @@ class MicroBatcher {
     std::int64_t oldest_micros = 0;  // enqueue time of pending.front()
   };
 
-  // What fired a batch — attributed to the matching stats counter.
+  // What fired a batch — counted in serve_<trigger>_flushes_total.
   enum class FlushTrigger {
     kFull,      // the queue reached max_batch_rows
     kDeadline,  // the oldest request timed out (or Shutdown drained it)
@@ -313,7 +245,7 @@ class MicroBatcher {
       MCIRBM_EXCLUDES(mu_);
 
   const BatcherConfig config_;
-  const std::shared_ptr<obs::Registry> registry_;  // never null
+  obs::Registry registry_;
   mutable Mutex mu_;
   CondVar cv_;
   std::map<std::string, Queue> queues_ MCIRBM_GUARDED_BY(mu_);
@@ -325,8 +257,6 @@ class MicroBatcher {
   std::map<std::string, std::size_t> key_loads_ MCIRBM_GUARDED_BY(mu_);
   std::atomic<std::size_t> load_{0};
   bool stopping_ MCIRBM_GUARDED_BY(mu_) = false;
-  Stats stats_ MCIRBM_GUARDED_BY(mu_);
-  std::vector<double> latencies_micros_ MCIRBM_GUARDED_BY(mu_);
   // Claimed (moved out) under mu_ by Shutdown so user + destructor
   // cannot both join it. Last member: started after everything above.
   std::thread flusher_ MCIRBM_GUARDED_BY(mu_);

@@ -29,8 +29,7 @@ void ModelStore::InsertLocked(const std::string& key,
   while (entries_.size() > capacity_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
-    ++stats_.evictions;
-    registry_->counter("store_evictions_total").Increment();
+    registry_.counter("store_evictions_total").Increment();
   }
 }
 
@@ -40,13 +39,11 @@ StatusOr<std::shared_ptr<const api::Model>> ModelStore::Get(
     MutexLock lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++stats_.hits;
-      registry_->counter("store_hits_total").Increment();
+      registry_.counter("store_hits_total").Increment();
       Touch(key, &it->second);
       return it->second.model;
     }
-    ++stats_.misses;
-    registry_->counter("store_misses_total").Increment();
+    registry_.counter("store_misses_total").Increment();
   }
   // Load outside the lock: a slow disk read must not block cache hits.
   // Two threads may race here for the same key; both loads succeed and
@@ -55,7 +52,7 @@ StatusOr<std::shared_ptr<const api::Model>> ModelStore::Get(
   auto loaded = api::Model::LoadShared(key);
   if (!loaded.ok()) return loaded.status();
   const std::int64_t finished = MonotonicMicros();
-  registry_->histogram("store_load_micros", key)
+  registry_.histogram("store_load_micros", key)
       .Record(static_cast<double>(finished - started));
   if (trace != nullptr) {
     trace->AddSpan("load", started, finished - started, key);
@@ -83,15 +80,14 @@ Status ModelStore::Reload(const std::string& key, obs::TraceContext* trace) {
   auto loaded = api::Model::LoadShared(key);
   if (!loaded.ok()) return loaded.status();
   const std::int64_t finished = MonotonicMicros();
-  registry_->histogram("store_reload_micros", key)
+  registry_.histogram("store_reload_micros", key)
       .Record(static_cast<double>(finished - started));
   if (trace != nullptr) {
     trace->AddSpan("reload", started, finished - started, key);
   }
   MutexLock lock(mu_);
   InsertLocked(key, std::move(loaded).value());
-  ++stats_.reloads;
-  registry_->counter("store_reloads_total").Increment();
+  registry_.counter("store_reloads_total").Increment();
   return Status::Ok();
 }
 
@@ -107,11 +103,6 @@ bool ModelStore::Evict(const std::string& key) {
 std::size_t ModelStore::size() const {
   MutexLock lock(mu_);
   return entries_.size();
-}
-
-ModelStore::Stats ModelStore::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
 }
 
 }  // namespace mcirbm::serve

@@ -23,7 +23,6 @@
 #ifndef MCIRBM_SERVE_MODEL_STORE_H_
 #define MCIRBM_SERVE_MODEL_STORE_H_
 
-#include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
@@ -75,24 +74,14 @@ class ModelStore {
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
-  /// Monotonic counters since construction.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;      ///< Get calls that went to disk
-    std::uint64_t evictions = 0;   ///< LRU evictions (not explicit Evict)
-    std::uint64_t reloads = 0;     ///< successful Reload swaps
-  };
-  Stats stats() const;
-
-  /// Metrics mirror of the counters above plus per-model-key
+  /// Monotonic store_hits_total, store_misses_total (Get calls that went
+  /// to disk), store_evictions_total (LRU evictions, not explicit Evict)
+  /// and store_reloads_total (successful Reload swaps), plus per-model-key
   /// store_load_micros / store_reload_micros disk-latency histograms
   /// (successful loads only — a failed probe has no artifact to label
   /// honestly). Merged into the serve-layer snapshot by serve::Router.
   obs::MetricsSnapshot metrics_snapshot() const {
-    return registry_->snapshot();
-  }
-  const std::shared_ptr<obs::Registry>& registry() const {
-    return registry_;
+    return registry_.snapshot();
   }
 
  private:
@@ -109,12 +98,10 @@ class ModelStore {
       MCIRBM_REQUIRES(mu_);
 
   const std::size_t capacity_;
-  const std::shared_ptr<obs::Registry> registry_ =
-      std::make_shared<obs::Registry>();
+  obs::Registry registry_;
   mutable Mutex mu_;
   std::list<std::string> lru_ MCIRBM_GUARDED_BY(mu_);  // front = MRU
   std::map<std::string, Entry> entries_ MCIRBM_GUARDED_BY(mu_);
-  Stats stats_ MCIRBM_GUARDED_BY(mu_);
 };
 
 }  // namespace mcirbm::serve

@@ -24,10 +24,18 @@ std::uint64_t Fnv1a(const std::string& key) {
 /// table holds one entry per distinct key seen since the last sweep.
 constexpr std::size_t kMaxIdleAssignments = 1024;
 
+/// Ready future carrying an error, for keys the store cannot resolve.
+template <typename T>
+std::future<StatusOr<T>> FailedFuture(Status status) {
+  std::promise<StatusOr<T>> promise;
+  promise.set_value(std::move(status));
+  return promise.get_future();
+}
+
 }  // namespace
 
-Router::Router(const RouterConfig& config) : routing_(config.routing) {
-  store_ = std::make_shared<ModelStore>(config.store_capacity);
+Router::Router(const RouterConfig& config)
+    : routing_(config.routing), store_(config.store_capacity) {
   if (config.max_inflight_requests > 0) {
     admission_ =
         std::make_shared<AdmissionController>(config.max_inflight_requests);
@@ -35,20 +43,20 @@ Router::Router(const RouterConfig& config) : routing_(config.routing) {
   BatcherConfig batcher = config.batcher;
   batcher.admission = admission_;
   const std::size_t replicas = std::max<std::size_t>(1, config.replicas);
-  servers_.reserve(replicas);
+  batchers_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
-    servers_.push_back(std::make_unique<Server>(batcher, store_));
+    batchers_.push_back(std::make_unique<MicroBatcher>(batcher));
   }
 }
 
 Router::~Router() { Shutdown(); }
 
 std::size_t Router::ReplicaFor(const std::string& key) const {
-  return static_cast<std::size_t>(Fnv1a(key) % servers_.size());
+  return static_cast<std::size_t>(Fnv1a(key) % batchers_.size());
 }
 
 std::size_t Router::PickReplica(const std::string& key) {
-  if (routing_ == RoutingMode::kKeyHash || servers_.size() == 1) {
+  if (routing_ == RoutingMode::kKeyHash || batchers_.size() == 1) {
     return ReplicaFor(key);
   }
   MutexLock lock(routing_mu_);
@@ -57,16 +65,16 @@ std::size_t Router::PickReplica(const std::string& key) {
   // traffic across batchers and defeat coalescing.
   const auto it = assignments_.find(key);
   if (it != assignments_.end() &&
-      servers_[it->second]->key_load(key) > 0) {
+      batchers_[it->second]->key_load(key) > 0) {
     return it->second;
   }
   // Idle key: route to the least-loaded replica right now. Ties break
   // toward the key-hash replica (determinism when nothing is loaded),
   // then the lowest index.
   std::size_t best = ReplicaFor(key);
-  std::size_t best_load = servers_[best]->load();
-  for (std::size_t r = 0; r < servers_.size(); ++r) {
-    const std::size_t load = servers_[r]->load();
+  std::size_t best_load = batchers_[best]->load();
+  for (std::size_t r = 0; r < batchers_.size(); ++r) {
+    const std::size_t load = batchers_[r]->load();
     if (load < best_load) {
       best = r;
       best_load = load;
@@ -75,7 +83,7 @@ std::size_t Router::PickReplica(const std::string& key) {
   if (assignments_.size() >= kMaxIdleAssignments) {
     // Drop idle pins so the table tracks live keys, not key history.
     for (auto sweep = assignments_.begin(); sweep != assignments_.end();) {
-      if (servers_[sweep->second]->key_load(sweep->first) == 0) {
+      if (batchers_[sweep->second]->key_load(sweep->first) == 0) {
         sweep = assignments_.erase(sweep);
       } else {
         ++sweep;
@@ -93,22 +101,28 @@ std::size_t Router::RouteFor(const std::string& key) {
 std::future<StatusOr<linalg::Matrix>> Router::Submit(
     const std::string& model_key, linalg::Matrix rows,
     std::shared_ptr<obs::TraceContext> trace) {
-  return servers_[PickReplica(model_key)]->Submit(model_key, std::move(rows),
-                                                  std::move(trace));
+  MicroBatcher& batcher = *batchers_[PickReplica(model_key)];
+  auto model = store_.Get(model_key, trace.get());
+  if (!model.ok()) return FailedFuture<linalg::Matrix>(model.status());
+  return batcher.SubmitTransform(std::move(model).value(), model_key,
+                                 std::move(rows), std::move(trace));
 }
 
 std::future<StatusOr<api::EvalResult>> Router::SubmitEvaluate(
     const std::string& model_key, linalg::Matrix rows,
     std::vector<int> labels, api::EvalOptions options,
     std::shared_ptr<obs::TraceContext> trace) {
-  return servers_[PickReplica(model_key)]->SubmitEvaluate(
-      model_key, std::move(rows), std::move(labels), options,
-      std::move(trace));
+  MicroBatcher& batcher = *batchers_[PickReplica(model_key)];
+  auto model = store_.Get(model_key, trace.get());
+  if (!model.ok()) return FailedFuture<api::EvalResult>(model.status());
+  return batcher.SubmitEvaluate(std::move(model).value(), model_key,
+                                std::move(rows), std::move(labels), options,
+                                std::move(trace));
 }
 
 Status Router::Reload(const std::string& model_key,
                       obs::TraceContext* trace) {
-  return store_->Reload(model_key, trace);
+  return store_.Reload(model_key, trace);
 }
 
 std::uint64_t Router::inflight_requests() const {
@@ -116,42 +130,21 @@ std::uint64_t Router::inflight_requests() const {
 }
 
 void Router::Shutdown() {
-  for (const auto& server : servers_) server->Shutdown();
-}
-
-Router::Stats Router::stats() const {
-  Stats stats;
-  stats.store = store_->stats();
-  stats.per_replica.reserve(servers_.size());
-  for (const auto& server : servers_) {
-    const MicroBatcher::Stats replica = server->stats().batcher;
-    stats.per_replica.push_back(replica);
-    stats.batcher.Add(replica);
-  }
-  return stats;
+  for (const auto& batcher : batchers_) batcher->Shutdown();
 }
 
 obs::MetricsSnapshot Router::metrics_snapshot() const {
   obs::MetricsSnapshot merged;
-  for (const auto& server : servers_) {
-    merged.Merge(server->metrics_snapshot());
+  for (const auto& batcher : batchers_) {
+    merged.Merge(batcher->metrics_snapshot());
   }
   // The store is shared: fold its registry in once, not per replica.
-  merged.Merge(store_->metrics_snapshot());
+  merged.Merge(store_.metrics_snapshot());
   merged.gauges[{"serve_replicas", ""}] =
-      static_cast<double>(servers_.size());
+      static_cast<double>(batchers_.size());
   merged.gauges[{"serve_inflight_requests", ""}] =
       static_cast<double>(inflight_requests());
   return merged;
-}
-
-std::vector<double> Router::latencies_micros() const {
-  std::vector<double> all;
-  for (const auto& server : servers_) {
-    const std::vector<double> replica = server->latencies_micros();
-    all.insert(all.end(), replica.begin(), replica.end());
-  }
-  return all;
 }
 
 }  // namespace mcirbm::serve

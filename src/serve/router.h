@@ -1,15 +1,5 @@
-// serve::Router — replica sharding with admission control for the
-// serving layer.
-//
-// A Router owns N serve::Server replicas (each with its own MicroBatcher
-// and flusher thread — the unit worth replicating on a multi-socket box)
-// behind a deterministic key-hash: every model key maps to exactly one
-// replica, so one model's requests always coalesce in one batcher and
-// the routed output is bit-identical to a single Server handling the
-// same stream (pinned by tests/serve/router_test.cc at 1/2/4 replicas).
-// All replicas resolve keys through ONE shared ModelStore — an artifact
-// loaded (or Put) once serves every replica, and Reload swaps it for all
-// of them atomically.
+// serve::Router — the serving unit: one shared ModelStore in front of N
+// MicroBatcher replicas, with replica routing and admission control.
 //
 //   serve::RouterConfig config;
 //   config.replicas = 4;
@@ -17,11 +7,24 @@
 //   config.max_inflight_requests = 4096;     // global bound
 //   serve::Router router(config);
 //   auto features = router.Submit("encoder.mcirbm", row);   // future
+//   auto scored = router.SubmitEvaluate("encoder.mcirbm", rows, labels);
+//   router.Shutdown();  // flushes pending work; later submits fail
+//
+// Submit picks a replica, resolves the model key through the store
+// (loading the artifact from that path on first use), and queues the
+// rows on the replica's batcher. Each replica is a MicroBatcher with its
+// own flusher thread — the unit worth replicating on a multi-socket box;
+// one replica is the single-server case. The store is shared, so an
+// artifact loaded (or Put) once serves every replica, and Reload swaps
+// it for all of them atomically. Submissions are safe from any number
+// of client threads, and results are bit-identical to calling
+// api::Model::Transform / Evaluate directly at any replica count
+// (pinned by tests/serve/router_test.cc at 1/2/4 replicas).
 //
 // Admission control is fail-fast at both granularities: a submission
 // that would push a model's queue past max_pending_rows, or the whole
 // router past max_inflight_requests, resolves its future immediately
-// with StatusCode::kUnavailable (counted in stats as rejected_requests).
+// with StatusCode::kUnavailable (counted in serve_rejected_total).
 // Overflow never blocks the caller and never drops a request silently.
 //
 // Routing is pluggable (RouterConfig::routing): kKeyHash binds each key
@@ -31,9 +34,11 @@
 // model's traffic keeps batching together. Either way, per-key results
 // are bit-identical (pinned by tests/serve/router_test.cc).
 //
-// Observability: metrics_snapshot() merges every replica's
-// obs::Registry with the shared store's into one view; RenderStatsText()
-// is the text form served by `op=stats` and `--stats-every`.
+// Observability: the component registries are the only counters.
+// metrics_snapshot() merges every replica's obs::Registry with the
+// store's into one view; RenderStatsText() is the text form served by
+// `op=stats` and `--stats-every`, and the CLI's `# served=` summary line
+// is derived from the same snapshot.
 #ifndef MCIRBM_SERVE_ROUTER_H_
 #define MCIRBM_SERVE_ROUTER_H_
 
@@ -47,9 +52,9 @@
 #include "api/model.h"
 #include "linalg/matrix.h"
 #include "obs/registry.h"
+#include "obs/trace.h"
 #include "serve/micro_batcher.h"
 #include "serve/model_store.h"
-#include "serve/server.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -72,7 +77,7 @@ enum class RoutingMode {
 
 /// Replica-sharded serving knobs.
 struct RouterConfig {
-  /// Server replicas behind the key-hash (clamped to >= 1).
+  /// MicroBatcher replicas (clamped to >= 1).
   std::size_t replicas = 1;
   /// Replica selection policy; see RoutingMode.
   RoutingMode routing = RoutingMode::kKeyHash;
@@ -84,11 +89,11 @@ struct RouterConfig {
   /// queue; the admission field is overwritten by the router's shared
   /// controller.
   BatcherConfig batcher;
-  /// Capacity of the single ModelStore shared by every replica.
+  /// Capacity of the ModelStore shared by every replica.
   std::size_t store_capacity = 8;
 };
 
-/// N Servers behind a deterministic key-hash with one shared ModelStore.
+/// N MicroBatcher replicas behind one shared ModelStore.
 class Router {
  public:
   explicit Router(const RouterConfig& config = {});
@@ -97,11 +102,13 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Routes `rows` to `model_key`'s replica for a batched Transform.
-  /// Identical semantics (and bit-identical results) to Server::Submit;
-  /// overflow, unknown models, shape mismatches, and post-Shutdown
-  /// submissions resolve the future immediately with a non-OK Status.
-  /// A non-null `trace` collects load/queue/exec spans (obs/trace.h).
+  /// Queues `rows` for a batched Transform through the model cached
+  /// under `model_key` (loaded from that path on first use), on the
+  /// replica the routing policy picks. The future resolves to features
+  /// bit-identical to Model::Transform(rows). Overflow, unknown models,
+  /// shape mismatches, and post-Shutdown submissions resolve it
+  /// immediately with a non-OK Status. A non-null `trace` collects
+  /// load/queue/exec spans (obs/trace.h).
   std::future<StatusOr<linalg::Matrix>> Submit(
       const std::string& model_key, linalg::Matrix rows,
       std::shared_ptr<obs::TraceContext> trace = {});
@@ -120,7 +127,7 @@ class Router {
                 obs::TraceContext* trace = nullptr);
 
   /// The model cache shared by all replicas (pre-loading, in-memory Put).
-  ModelStore& store() { return *store_; }
+  ModelStore& store() { return store_; }
 
   /// Deterministic replica index for `key` (exposed for tests and
   /// capacity planning): FNV-1a over the key, mod replicas(). This is
@@ -132,7 +139,7 @@ class Router {
   /// and updates the pin table exactly like Submit).
   std::size_t RouteFor(const std::string& key);
 
-  std::size_t replicas() const { return servers_.size(); }
+  std::size_t replicas() const { return batchers_.size(); }
 
   /// Unresolved futures currently admitted (0 when unbounded — the
   /// gauge is only maintained when max_inflight_requests is set).
@@ -141,25 +148,6 @@ class Router {
   /// Flushes every replica's pending requests and stops serving;
   /// idempotent. Later submissions fail with kUnavailable.
   void Shutdown();
-
-  /// Aggregated serving counters: the field-wise sum of every replica's
-  /// batcher stats plus the shared store's counters.
-  /// `batcher.rejected_requests` counts all backpressure rejections,
-  /// both per-queue and global.
-  ///
-  /// Merge semantics (pinned by tests/serve/router_test.cc): counters
-  /// and summed totals (total_queue_micros included) ADD across
-  /// replicas; max_queue_micros takes the MAX, because the max over the
-  /// union of all requests is the max of the per-replica maxes. The
-  /// aggregate MeanQueueMicros() therefore comes out of summed totals —
-  /// averaging per-replica means would be wrong whenever replicas serve
-  /// unequal traffic.
-  struct Stats {
-    MicroBatcher::Stats batcher;
-    ModelStore::Stats store;
-    std::vector<MicroBatcher::Stats> per_replica;
-  };
-  Stats stats() const;
 
   /// Merged observability snapshot: every replica's registry (queue-wait
   /// / batch-exec histograms merge bucket-wise, counters and gauges sum)
@@ -173,19 +161,15 @@ class Router {
     return metrics_snapshot().RenderText();
   }
 
-  /// Concatenated per-request queue latencies from every replica, when
-  /// BatcherConfig::record_latencies is set (bench support).
-  std::vector<double> latencies_micros() const;
-
  private:
   /// Applies the routing policy; under kLeastLoaded takes routing_mu_
   /// and maintains the key-pin table.
   std::size_t PickReplica(const std::string& key);
 
   RoutingMode routing_ = RoutingMode::kKeyHash;
-  std::shared_ptr<ModelStore> store_;
+  ModelStore store_;
   std::shared_ptr<AdmissionController> admission_;
-  std::vector<std::unique_ptr<Server>> servers_;
+  std::vector<std::unique_ptr<MicroBatcher>> batchers_;
   // kLeastLoaded state: the replica each recently routed key went to.
   // An entry is authoritative while the key still has load on that
   // replica (pinned); stale entries are re-resolved on next use and

@@ -8,11 +8,11 @@
 //   - serve::MicroBatcher — per-model request coalescing into batched
 //     matrix passes on the global parallel::ThreadPool, bit-identical to
 //     one-at-a-time calls (serve/micro_batcher.h);
-//   - serve::Server — the client-facing facade: Submit/SubmitEvaluate
-//     futures, hot reload, serving stats (serve/server.h);
-//   - serve::Router — N Server replicas behind key-hash or load-aware
-//     routing with one shared ModelStore and fail-fast admission
-//     control (serve/router.h);
+//   - serve::Router — the serving unit and client-facing facade:
+//     Submit/SubmitEvaluate futures and hot reload over one shared
+//     ModelStore and N MicroBatcher replicas, with key-hash or
+//     load-aware routing and fail-fast admission control
+//     (serve/router.h);
 //   - serve::ParseRequestLine — the serve request-line format, including
 //     the op=stats / op=trace observability probes, op=reload hot-swaps,
 //     and the pipelining id= tag (serve/request.h);
@@ -20,9 +20,10 @@
 //     and formats responses; the piece shared by the CLI's file/stdin
 //     loop and the src/net TCP transport (serve/executor.h).
 //
-// Every component records into the src/obs metrics layer (latency
-// histograms, queue gauges, counters); Router::RenderStatsText() is the
-// merged Prometheus-style view. With trace sampling on (obs/trace.h,
+// Every component records into its own src/obs registry (latency
+// histograms, queue gauges, counters) and keeps no other tally;
+// Router::metrics_snapshot() is the merged view, RenderStatsText() its
+// Prometheus-style text. With trace sampling on (obs/trace.h,
 // `--trace-sample N`) every stage also contributes per-request spans —
 // parse/load/queue/exec/format (+ the transport's flush) — surfaced via
 // op=trace, the --stats-port endpoint, and a JSONL stream.
@@ -37,6 +38,5 @@
 #include "serve/model_store.h"
 #include "serve/request.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 #endif  // MCIRBM_SERVE_SERVE_H_

@@ -230,6 +230,14 @@ TEST(RegistryTest, SnapshotMergeSumsCountersAndGauges) {
   EXPECT_DOUBLE_EQ((merged.gauges[{"depth", "m"}]), 5.0);
   EXPECT_EQ((merged.histograms[{"lat", "m"}].count), 2u);
   EXPECT_DOUBLE_EQ((merged.histograms[{"lat", "m"}].sum), 30.0);
+
+  // Totals over every label: the sum of all "reqs" series, 0 for a name
+  // never recorded, and one merged "lat" histogram.
+  EXPECT_EQ(merged.CounterTotal("reqs"), 13u);
+  EXPECT_EQ(merged.CounterTotal("absent"), 0u);
+  const Histogram::Snapshot lat = merged.HistogramTotal("lat");
+  EXPECT_EQ(lat.count, 2u);
+  EXPECT_DOUBLE_EQ(lat.sum, 30.0);
 }
 
 TEST(RegistryTest, RenderTextFormat) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -42,6 +43,11 @@ std::shared_ptr<const api::Model> TrainShared(
   return std::make_shared<const api::Model>(std::move(model).value());
 }
 
+/// One of the batcher's registry counters, summed over model keys.
+std::uint64_t Total(const MicroBatcher& batcher, const std::string& name) {
+  return batcher.metrics_snapshot().CounterTotal(name);
+}
+
 /// Extracts row `r` of `x` as a 1 x cols matrix.
 linalg::Matrix RowOf(const linalg::Matrix& x, std::size_t r) {
   linalg::Matrix row(1, x.cols());
@@ -71,11 +77,10 @@ TEST_F(MicroBatcherTest, SingleRequestFlushesOnDeadline) {
   ASSERT_TRUE(features.ok()) << features.status().ToString();
   EXPECT_TRUE(features.value().AllClose(
       model_->Transform(RowOf(ds_.x, 0)).value(), 0));
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.deadline_flushes, 1u);
-  EXPECT_EQ(stats.full_flushes, 0u);
+  EXPECT_EQ(Total(batcher, "serve_requests_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_deadline_flushes_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total"), 0u);
 }
 
 TEST_F(MicroBatcherTest, MaxBatchRowsBoundaryFlushesExactlyFull) {
@@ -93,11 +98,10 @@ TEST_F(MicroBatcherTest, MaxBatchRowsBoundaryFlushesExactlyFull) {
     auto features = future.get();
     ASSERT_TRUE(features.ok()) << features.status().ToString();
   }
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_rows, 4u);
-  EXPECT_EQ(stats.full_flushes, 1u);
-  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_rows_total"), 4u);
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_deadline_flushes_total"), 0u);
   batcher.Shutdown();
 }
 
@@ -110,10 +114,9 @@ TEST_F(MicroBatcherTest, OversizedRequestFormsOneBatch) {
   auto features = batcher.SubmitTransform(model_, "m", std::move(all)).get();
   ASSERT_TRUE(features.ok()) << features.status().ToString();
   EXPECT_TRUE(features.value().AllClose(model_->Transform(ds_.x).value(), 0));
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_rows, ds_.x.rows());
-  EXPECT_EQ(stats.full_flushes, 1u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_rows_total"), ds_.x.rows());
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total"), 1u);
 }
 
 TEST_F(MicroBatcherTest, MixedModelQueuesNeverShareABatch) {
@@ -136,10 +139,9 @@ TEST_F(MicroBatcherTest, MixedModelQueuesNeverShareABatch) {
       other->Transform(RowOf(ds_.x, 0)).value(), 0));
   EXPECT_TRUE(b1.get().value().AllClose(
       other->Transform(RowOf(ds_.x, 1)).value(), 0));
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.full_flushes, 2u);
-  EXPECT_EQ(stats.batched_rows, 4u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 2u);
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total"), 2u);
+  EXPECT_EQ(Total(batcher, "serve_rows_total"), 4u);
 }
 
 TEST_F(MicroBatcherTest, ModelSwapMidQueueSealsTheOldBatch) {
@@ -166,7 +168,7 @@ TEST_F(MicroBatcherTest, ModelSwapMidQueueSealsTheOldBatch) {
   ASSERT_TRUE(new_features.ok());
   EXPECT_TRUE(new_features.value().AllClose(
       other->Transform(RowOf(ds_.x, 0)).value(), 0));
-  EXPECT_EQ(batcher.stats().batches, 2u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 2u);
 }
 
 TEST_F(MicroBatcherTest, SwapFlushIsAttributedAsSwapNotDeadline) {
@@ -183,11 +185,11 @@ TEST_F(MicroBatcherTest, SwapFlushIsAttributedAsSwapNotDeadline) {
   ASSERT_TRUE(old_instance.get().ok());  // sealed batch flushes at once
   batcher.Shutdown();                    // fresh queue drains on shutdown
   ASSERT_TRUE(new_instance.get().ok());
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.swap_flushes, 1u);
-  EXPECT_EQ(stats.deadline_flushes, 1u);  // only the shutdown drain
-  EXPECT_EQ(stats.full_flushes, 0u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 2u);
+  EXPECT_EQ(Total(batcher, "serve_swap_flushes_total"), 1u);
+  // Only the shutdown drain counts as a deadline flush.
+  EXPECT_EQ(Total(batcher, "serve_deadline_flushes_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total"), 0u);
 }
 
 TEST_F(MicroBatcherTest, OversizedSealedQueueIsSplitToRespectTheCap) {
@@ -227,16 +229,17 @@ TEST_F(MicroBatcherTest, OversizedSealedQueueIsSplitToRespectTheCap) {
   ASSERT_TRUE(b.get().ok());
   batcher.Shutdown();
   ASSERT_TRUE(c.get().ok());
-  const MicroBatcher::Stats stats = batcher.stats();
   // slow (full) + the two 3-row requests as two capped batches (sealed
   // by the swap in the expected interleaving; as regular full flushes in
   // the unlikely one where the flusher finishes the slow pass first —
   // either way the 6 rows must NOT form one over-cap batch, which would
   // make this 3 batches) + the fresh queue's shutdown drain.
-  EXPECT_EQ(stats.batches, 4u);
-  EXPECT_EQ(stats.full_flushes + stats.swap_flushes, 3u);
-  EXPECT_EQ(stats.deadline_flushes, 1u);
-  EXPECT_EQ(stats.batched_rows, 20000u + 7u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 4u);
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total") +
+                Total(batcher, "serve_swap_flushes_total"),
+            3u);
+  EXPECT_EQ(Total(batcher, "serve_deadline_flushes_total"), 1u);
+  EXPECT_EQ(Total(batcher, "serve_rows_total"), 20000u + 7u);
 }
 
 TEST_F(MicroBatcherTest, PerQueueOverflowRejectsFastWithUnavailable) {
@@ -260,9 +263,9 @@ TEST_F(MicroBatcherTest, PerQueueOverflowRejectsFastWithUnavailable) {
   batcher.Shutdown();
   ASSERT_TRUE(elsewhere.get().ok());
   ASSERT_TRUE(admitted.get().ok());
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.rejected_requests, 1u);
-  EXPECT_EQ(stats.requests, 2u);  // rejected submissions are not counted
+  EXPECT_EQ(Total(batcher, "serve_rejected_total"), 1u);
+  // Rejected submissions are not counted as requests.
+  EXPECT_EQ(Total(batcher, "serve_requests_total"), 2u);
 }
 
 TEST_F(MicroBatcherTest, SealedRowsStillCountAgainstTheBackpressureBound) {
@@ -297,17 +300,17 @@ TEST_F(MicroBatcherTest, SealedRowsStillCountAgainstTheBackpressureBound) {
       std::future_status::ready) {
     // Admission is only legitimate if the flusher won the (tiny) race
     // and claimed the sealed batch first, releasing its rows. The claim
-    // and its swap_flushes increment happen under the batcher lock
+    // and its swap-flush count happen under the batcher lock
     // before any later Enqueue, so a zero counter here means the rows
     // were still held — i.e. the bound was bypassed.
-    EXPECT_GE(batcher.stats().swap_flushes, 1u)
+    EXPECT_GE(Total(batcher, "serve_swap_flushes_total"), 1u)
         << "submission admitted while sealed rows were still held";
     GTEST_SKIP() << "flusher claimed the sealed batch first";
   }
   auto rejection = overflow.get();
   ASSERT_FALSE(rejection.ok());
   EXPECT_EQ(rejection.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(batcher.stats().rejected_requests, 1u);
+  EXPECT_EQ(Total(batcher, "serve_rejected_total"), 1u);
   batcher.Shutdown();
   ASSERT_TRUE(slow.get().ok());
   ASSERT_TRUE(old_rows.get().ok());
@@ -330,7 +333,7 @@ TEST_F(MicroBatcherTest, RejectedSubmissionLeavesNoEmptyQueueBehind) {
   EXPECT_EQ(batcher.pending_queues(), 1u);  // only "a" — no "fresh-key"
   batcher.Shutdown();
   ASSERT_TRUE(admitted.get().ok());
-  EXPECT_EQ(batcher.stats().rejected_requests, 1u);
+  EXPECT_EQ(Total(batcher, "serve_rejected_total"), 1u);
 }
 
 TEST_F(MicroBatcherTest, OversizedFirstRequestIsAlwaysAdmitted) {
@@ -340,7 +343,7 @@ TEST_F(MicroBatcherTest, OversizedFirstRequestIsAlwaysAdmitted) {
   linalg::Matrix all = ds_.x;  // 32 rows >> max_pending_rows
   auto features = batcher.SubmitTransform(model_, "m", std::move(all)).get();
   ASSERT_TRUE(features.ok()) << features.status().ToString();
-  EXPECT_EQ(batcher.stats().rejected_requests, 0u);
+  EXPECT_EQ(Total(batcher, "serve_rejected_total"), 0u);
 }
 
 TEST_F(MicroBatcherTest, ReloadThenShutdownResolvesEveryFutureExactlyOnce) {
@@ -365,10 +368,9 @@ TEST_F(MicroBatcherTest, ReloadThenShutdownResolvesEveryFutureExactlyOnce) {
   ASSERT_TRUE(new_features.ok()) << new_features.status().ToString();
   EXPECT_TRUE(new_features.value().AllClose(
       other->Transform(RowOf(ds_.x, 1)).value(), 0));
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.batched_rows, 2u);
-  EXPECT_EQ(stats.swap_flushes, 1u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 2u);
+  EXPECT_EQ(Total(batcher, "serve_rows_total"), 2u);
+  EXPECT_EQ(Total(batcher, "serve_swap_flushes_total"), 1u);
 }
 
 TEST_F(MicroBatcherTest, DrainedQueuesAreDropped) {
@@ -392,9 +394,8 @@ TEST_F(MicroBatcherTest, ShutdownWithEmptyQueueIsClean) {
   MicroBatcher batcher;
   batcher.Shutdown();
   batcher.Shutdown();  // idempotent
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 0u);
-  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(Total(batcher, "serve_requests_total"), 0u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 0u);
 }
 
 TEST_F(MicroBatcherTest, ShutdownFlushesPendingRequests) {
@@ -411,7 +412,7 @@ TEST_F(MicroBatcherTest, ShutdownFlushesPendingRequests) {
   ASSERT_TRUE(features.ok());
   EXPECT_TRUE(features.value().AllClose(
       model_->Transform(RowOf(ds_.x, 1)).value(), 0));
-  EXPECT_EQ(batcher.stats().batches, 1u);
+  EXPECT_EQ(Total(batcher, "serve_batches_total"), 1u);
 }
 
 TEST_F(MicroBatcherTest, SubmitAfterShutdownIsUnavailable) {
@@ -447,20 +448,7 @@ TEST_F(MicroBatcherTest, BadRequestsFailFastWithoutQueueing) {
       batcher.SubmitEvaluate(model_, "m", RowOf(ds_.x, 0), ds_.labels)
           .get();
   EXPECT_FALSE(mismatched.ok());
-  EXPECT_EQ(batcher.stats().requests, 0u);
-}
-
-TEST_F(MicroBatcherTest, RecordsLatenciesWhenEnabled) {
-  BatcherConfig config;
-  config.max_batch_rows = 2;
-  config.record_latencies = true;
-  MicroBatcher batcher(config);
-  auto a = batcher.SubmitTransform(model_, "m", RowOf(ds_.x, 0));
-  auto b = batcher.SubmitTransform(model_, "m", RowOf(ds_.x, 1));
-  ASSERT_TRUE(a.get().ok());
-  ASSERT_TRUE(b.get().ok());
-  EXPECT_EQ(batcher.latencies_micros().size(), 2u);
-  EXPECT_GE(batcher.stats().max_queue_micros, 0.0);
+  EXPECT_EQ(Total(batcher, "serve_requests_total"), 0u);
 }
 
 // Bit-parity for every model kind: rows submitted one at a time through
@@ -493,11 +481,16 @@ TEST_P(BatchParityTest, BatchedTransformMatchesSequentialBitForBit) {
     EXPECT_TRUE(slice.value().AllClose(RowOf(reference, r), 0))
         << "row " << r << " diverged from the sequential transform";
   }
-  const MicroBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, ds.x.rows());
-  EXPECT_GE(stats.batches, 3u);  // 24 rows / cap 8
-  EXPECT_GT(stats.MeanBatchRows(), 1.0)
+  const std::uint64_t batches = Total(batcher, "serve_batches_total");
+  EXPECT_EQ(Total(batcher, "serve_requests_total"), ds.x.rows());
+  EXPECT_GE(batches, 3u);  // 24 rows / cap 8
+  EXPECT_GT(Total(batcher, "serve_rows_total"), batches)
       << "rows were not actually coalesced";
+  // Every batch is attributed to exactly one flush trigger.
+  EXPECT_EQ(Total(batcher, "serve_full_flushes_total") +
+                Total(batcher, "serve_deadline_flushes_total") +
+                Total(batcher, "serve_swap_flushes_total"),
+            batches);
 }
 
 TEST_P(BatchParityTest, BatchedEvaluateMatchesModelEvaluate) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -38,6 +39,11 @@ api::Model TrainTiny(const linalg::Matrix& x, std::uint64_t seed) {
   return std::move(model).value();
 }
 
+/// One of the store's registry counters.
+std::uint64_t Total(const ModelStore& store, const std::string& name) {
+  return store.metrics_snapshot().CounterTotal(name);
+}
+
 class ModelStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -65,9 +71,8 @@ TEST_F(ModelStoreTest, GetCachesAndSharesOneInstance) {
   EXPECT_EQ(first.value().get(), second.value().get())
       << "cache hit must return the same shared instance";
   EXPECT_EQ(store.size(), 1u);
-  const ModelStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(Total(store, "store_misses_total"), 1u);
+  EXPECT_EQ(Total(store, "store_hits_total"), 1u);
 }
 
 TEST_F(ModelStoreTest, EvictsLeastRecentlyUsed) {
@@ -77,12 +82,12 @@ TEST_F(ModelStoreTest, EvictsLeastRecentlyUsed) {
   ASSERT_TRUE(store.Get(paths_[0]).ok());  // touch 0: 1 is now LRU
   ASSERT_TRUE(store.Get(paths_[2]).ok());  // evicts 1
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.stats().evictions, 1u);
-  const std::uint64_t misses_before = store.stats().misses;
+  EXPECT_EQ(Total(store, "store_evictions_total"), 1u);
+  const std::uint64_t misses_before = Total(store, "store_misses_total");
   ASSERT_TRUE(store.Get(paths_[0]).ok());  // still cached
-  EXPECT_EQ(store.stats().misses, misses_before);
+  EXPECT_EQ(Total(store, "store_misses_total"), misses_before);
   ASSERT_TRUE(store.Get(paths_[1]).ok());  // was evicted: reloads
-  EXPECT_EQ(store.stats().misses, misses_before + 1);
+  EXPECT_EQ(Total(store, "store_misses_total"), misses_before + 1);
 }
 
 TEST_F(ModelStoreTest, EvictionKeepsInFlightReadersAlive) {
@@ -104,7 +109,7 @@ TEST_F(ModelStoreTest, ReloadSwapsTheInstance) {
   auto after = store.Get(paths_[0]);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(before.value().get(), after.value().get());
-  EXPECT_EQ(store.stats().reloads, 1u);
+  EXPECT_EQ(Total(store, "store_reloads_total"), 1u);
   // Both instances transform identically (same artifact on disk).
   EXPECT_TRUE(before.value()->Transform(x_).value().AllClose(
       after.value()->Transform(x_).value(), 0));
@@ -130,7 +135,7 @@ TEST_F(ModelStoreTest, MissingFileIsNotCached) {
   EXPECT_FALSE(store.Get(bogus).ok());
   EXPECT_FALSE(store.Get(bogus).ok());
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.stats().misses, 2u);
+  EXPECT_EQ(Total(store, "store_misses_total"), 2u);
 }
 
 TEST_F(ModelStoreTest, PutServesInMemoryModels) {
@@ -166,8 +171,8 @@ TEST_F(ModelStoreTest, ConcurrentReadersAndReloads) {
   }
   for (std::thread& reader : readers) reader.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0);
-  const ModelStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
+  EXPECT_EQ(Total(store, "store_hits_total") +
+                Total(store, "store_misses_total"),
             static_cast<std::uint64_t>(kThreads * kIterations));
 }
 

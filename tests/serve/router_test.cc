@@ -1,8 +1,8 @@
-// serve::Router — replica-sharded serving: bit-parity with a single
-// Server at any replica count, deterministic key-hash routing, the
-// shared cross-replica ModelStore, and fail-fast admission control (a
+// serve::Router — replica-sharded serving: bit-parity with direct
+// Model::Transform at any replica count, deterministic key-hash routing,
+// the shared cross-replica ModelStore, and fail-fast admission control (a
 // ThreadSanitizer target: the concurrent stress pins rejection behavior
-// under TSan).
+// under TSan). The one-replica serving unit is pinned by server_test.cc.
 #include "serve/router.h"
 
 #include <gtest/gtest.h>
@@ -73,8 +73,8 @@ class RouterTest : public ::testing::Test {
 };
 
 // The tentpole guarantee: for the same request stream, a Router with any
-// replica count produces feature slices byte-equal to a single Server
-// (whose own parity with direct Model::Transform is already pinned).
+// replica count produces feature slices byte-equal to direct
+// Model::Transform, i.e. to a single replica.
 TEST_F(RouterTest, AnyReplicaCountIsBitIdenticalToASingleServer) {
   for (const std::size_t replicas : {1u, 2u, 4u}) {
     RouterConfig config;
@@ -96,9 +96,12 @@ TEST_F(RouterTest, AnyReplicaCountIsBitIdenticalToASingleServer) {
       EXPECT_TRUE(slice.value().AllClose(RowOf(reference, r), 0))
           << "row " << r << " diverged at " << replicas << " replicas";
     }
-    const Router::Stats stats = router.stats();
-    EXPECT_EQ(stats.batcher.requests, ds_.x.rows());
-    EXPECT_EQ(stats.per_replica.size(), replicas);
+    const obs::MetricsSnapshot metrics = router.metrics_snapshot();
+    EXPECT_EQ(metrics.CounterTotal("serve_requests_total"), ds_.x.rows());
+    // One disk load per model path, every later submission a cache hit,
+    // whichever replica the key routes to.
+    EXPECT_EQ(metrics.CounterTotal("store_misses_total"), 2u);
+    EXPECT_EQ(metrics.CounterTotal("store_hits_total"), ds_.x.rows() - 2);
   }
 }
 
@@ -129,9 +132,9 @@ TEST_F(RouterTest, ReplicasShareOneModelStore) {
   // A disk artifact is loaded exactly once into the shared store.
   ASSERT_TRUE(router.Submit(path_a_, RowOf(ds_.x, 0)).get().ok());
   ASSERT_TRUE(router.Submit(path_a_, RowOf(ds_.x, 1)).get().ok());
-  const Router::Stats stats = router.stats();
-  EXPECT_EQ(stats.store.misses, 1u);
-  EXPECT_GE(stats.store.hits, 1u);
+  const obs::MetricsSnapshot metrics = router.metrics_snapshot();
+  EXPECT_EQ(metrics.CounterTotal("store_misses_total"), 1u);
+  EXPECT_GE(metrics.CounterTotal("store_hits_total"), 1u);
 }
 
 TEST_F(RouterTest, ReloadSwapsTheArtifactForEveryReplica) {
@@ -148,7 +151,8 @@ TEST_F(RouterTest, ReloadSwapsTheArtifactForEveryReplica) {
   auto after = router.Submit(path_a_, RowOf(ds_.x, 0)).get();
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value().AllClose(RowOf(reference_b_, 0), 0));
-  EXPECT_EQ(router.stats().store.reloads, 1u);
+  EXPECT_EQ(router.metrics_snapshot().CounterTotal("store_reloads_total"),
+            1u);
 }
 
 TEST_F(RouterTest, GlobalInflightOverflowRejectsFastWithUnavailable) {
@@ -168,7 +172,8 @@ TEST_F(RouterTest, GlobalInflightOverflowRejectsFastWithUnavailable) {
   auto rejection = rejected.get();
   ASSERT_FALSE(rejection.ok());
   EXPECT_EQ(rejection.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(router.stats().batcher.rejected_requests, 1u);
+  EXPECT_EQ(router.metrics_snapshot().CounterTotal("serve_rejected_total"),
+            1u);
   // The admitted request is still served, and its completion frees the
   // inflight slot.
   router.Shutdown();
@@ -196,7 +201,7 @@ TEST_F(RouterTest, SubmitAfterShutdownIsUnavailable) {
 // TSan target: concurrent clients against tight per-queue and global
 // bounds. Every future must resolve exactly once — accepted requests
 // bit-identical to the reference, rejections fail fast with kUnavailable
-// — and the stats must account for every submission.
+// — and the counters must account for every submission.
 TEST_F(RouterTest, ConcurrentOverflowNeverBlocksOrDropsRequests) {
   RouterConfig config;
   config.replicas = 2;
@@ -249,63 +254,9 @@ TEST_F(RouterTest, ConcurrentOverflowNeverBlocksOrDropsRequests) {
   }
   EXPECT_EQ(total_accepted + total_rejected,
             static_cast<std::uint64_t>(kClients) * kPerClient);
-  const Router::Stats stats = router.stats();
-  EXPECT_EQ(stats.batcher.requests, total_accepted);
-  EXPECT_EQ(stats.batcher.rejected_requests, total_rejected);
-}
-
-// Satellite guarantee: Stats::Add merges counters by SUM, the max by
-// MAX, and derived means come from summed totals — never from averaging
-// per-replica means. An idle replica must not drag the aggregate mean
-// down to half.
-TEST(RouterStatsTest, MergeSumsCountersAndRecomputesMeansFromTotals) {
-  MicroBatcher::Stats a;
-  a.requests = 10;
-  a.rows = 40;
-  a.batches = 4;
-  a.batched_rows = 40;
-  a.full_flushes = 3;
-  a.deadline_flushes = 1;
-  a.swap_flushes = 2;
-  a.rejected_requests = 5;
-  a.total_queue_micros = 1000.0;
-  a.max_queue_micros = 400.0;
-
-  MicroBatcher::Stats b;
-  b.requests = 30;
-  b.rows = 60;
-  b.batches = 2;
-  b.batched_rows = 60;
-  b.full_flushes = 1;
-  b.deadline_flushes = 1;
-  b.swap_flushes = 0;
-  b.rejected_requests = 7;
-  b.total_queue_micros = 9000.0;
-  b.max_queue_micros = 250.0;
-
-  MicroBatcher::Stats merged = a;
-  merged.Add(b);
-  EXPECT_EQ(merged.requests, 40u);
-  EXPECT_EQ(merged.rows, 100u);
-  EXPECT_EQ(merged.batches, 6u);
-  EXPECT_EQ(merged.batched_rows, 100u);
-  EXPECT_EQ(merged.full_flushes, 4u);
-  EXPECT_EQ(merged.deadline_flushes, 2u);
-  EXPECT_EQ(merged.swap_flushes, 2u);
-  EXPECT_EQ(merged.rejected_requests, 12u);
-  EXPECT_DOUBLE_EQ(merged.total_queue_micros, 10000.0);
-  // Max of maxes, not sum.
-  EXPECT_DOUBLE_EQ(merged.max_queue_micros, 400.0);
-  // Mean from summed totals: 10000 / 40 = 250. Averaging the per-part
-  // means ((100 + 300) / 2 = 200) would be wrong — the busier replica
-  // must carry more weight.
-  EXPECT_DOUBLE_EQ(merged.MeanQueueMicros(), 250.0);
-  EXPECT_DOUBLE_EQ(merged.MeanBatchRows(), 100.0 / 6.0);
-  // Merging an empty Stats is the identity.
-  MicroBatcher::Stats with_idle = merged;
-  with_idle.Add(MicroBatcher::Stats{});
-  EXPECT_EQ(with_idle.requests, merged.requests);
-  EXPECT_DOUBLE_EQ(with_idle.MeanQueueMicros(), merged.MeanQueueMicros());
+  const obs::MetricsSnapshot metrics = router.metrics_snapshot();
+  EXPECT_EQ(metrics.CounterTotal("serve_requests_total"), total_accepted);
+  EXPECT_EQ(metrics.CounterTotal("serve_rejected_total"), total_rejected);
 }
 
 // The tentpole routing guarantee: per-key results under kLeastLoaded are
@@ -333,8 +284,8 @@ TEST_F(RouterTest, LeastLoadedRoutingIsBitIdenticalToKeyHash) {
           << "row " << r << " diverged at " << replicas
           << " least-loaded replicas";
     }
-    const Router::Stats stats = router.stats();
-    EXPECT_EQ(stats.batcher.requests, ds_.x.rows());
+    EXPECT_EQ(router.metrics_snapshot().CounterTotal("serve_requests_total"),
+              ds_.x.rows());
   }
 }
 
@@ -410,7 +361,7 @@ TEST_F(RouterTest, ConcurrentLeastLoadedStaysBitIdentical) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(errors[c], 0) << "client " << c;
   }
-  EXPECT_EQ(router.stats().batcher.requests,
+  EXPECT_EQ(router.metrics_snapshot().CounterTotal("serve_requests_total"),
             static_cast<std::uint64_t>(kClients) * kPerClient);
 }
 
@@ -431,11 +382,7 @@ TEST_F(RouterTest, MetricsSnapshotMergesReplicasAndStoreOnce) {
   // Router-level gauges ride along.
   EXPECT_DOUBLE_EQ((snap.gauges.at({"serve_replicas", ""})), 2.0);
   // Queue-wait histograms recorded one observation per request.
-  std::uint64_t waits = 0;
-  for (const auto& [key, h] : snap.histograms) {
-    if (key.first == "serve_queue_wait_micros") waits += h.count;
-  }
-  EXPECT_EQ(waits, 2u);
+  EXPECT_EQ(snap.HistogramTotal("serve_queue_wait_micros").count, 2u);
   // All drained: the merged pending-rows gauges read 0.
   for (const auto& [key, value] : snap.gauges) {
     if (key.first == "serve_pending_rows") {

@@ -1,7 +1,8 @@
-// serve::Server — end-to-end serving over saved artifacts: submission by
-// model path, evaluate parity, stats, hot reload, shutdown semantics, and
-// concurrent clients (a ThreadSanitizer target).
-#include "serve/server.h"
+// The single serving unit — a one-replica serve::Router — end to end over
+// saved artifacts: submission by model path, evaluate parity, registry
+// counters, hot reload, shutdown semantics, and concurrent clients (a
+// ThreadSanitizer target). Multi-replica routing lives in router_test.cc.
+#include "serve/router.h"
 
 #include <gtest/gtest.h>
 
@@ -58,7 +59,8 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, ServesRowRequestsByModelPath) {
-  Server server;
+  Router server;
+  ASSERT_EQ(server.replicas(), 1u);
   std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
   for (std::size_t r = 0; r < ds_.x.rows(); ++r) {
     futures.push_back(server.Submit(path_, RowOf(ds_.x, r)));
@@ -69,12 +71,12 @@ TEST_F(ServerTest, ServesRowRequestsByModelPath) {
     EXPECT_TRUE(slice.value().AllClose(RowOf(reference_, r), 0))
         << "row " << r;
   }
-  const Server::Stats stats = server.stats();
-  EXPECT_EQ(stats.batcher.requests, ds_.x.rows());
-  EXPECT_GE(stats.batcher.batches, 1u);
+  const obs::MetricsSnapshot metrics = server.metrics_snapshot();
+  EXPECT_EQ(metrics.CounterTotal("serve_requests_total"), ds_.x.rows());
+  EXPECT_GE(metrics.CounterTotal("serve_batches_total"), 1u);
   // One disk load, every later submission a cache hit.
-  EXPECT_EQ(stats.store.misses, 1u);
-  EXPECT_EQ(stats.store.hits, ds_.x.rows() - 1);
+  EXPECT_EQ(metrics.CounterTotal("store_misses_total"), 1u);
+  EXPECT_EQ(metrics.CounterTotal("store_hits_total"), ds_.x.rows() - 1);
 }
 
 TEST_F(ServerTest, EvaluateMatchesDirectModelEvaluate) {
@@ -83,7 +85,7 @@ TEST_F(ServerTest, EvaluateMatchesDirectModelEvaluate) {
   auto reference = model.value().Evaluate(ds_.x, ds_.labels);
   ASSERT_TRUE(reference.ok());
 
-  Server server;
+  Router server;
   auto result = server.SubmitEvaluate(path_, ds_.x, ds_.labels).get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().clusters_found,
@@ -95,7 +97,7 @@ TEST_F(ServerTest, EvaluateMatchesDirectModelEvaluate) {
 }
 
 TEST_F(ServerTest, UnknownModelFailsFast) {
-  Server server;
+  Router server;
   auto missing =
       server.Submit(::testing::TempDir() + "/nope.mcirbm", RowOf(ds_.x, 0));
   auto result = missing.get();
@@ -104,7 +106,7 @@ TEST_F(ServerTest, UnknownModelFailsFast) {
 }
 
 TEST_F(ServerTest, SubmitAfterShutdownIsUnavailable) {
-  Server server;
+  Router server;
   ASSERT_TRUE(server.Submit(path_, RowOf(ds_.x, 0)).get().ok());
   server.Shutdown();
   auto rejected = server.Submit(path_, RowOf(ds_.x, 1)).get();
@@ -113,13 +115,14 @@ TEST_F(ServerTest, SubmitAfterShutdownIsUnavailable) {
 }
 
 TEST_F(ServerTest, ReloadKeepsServingIdenticalArtifact) {
-  Server server;
+  Router server;
   ASSERT_TRUE(server.Submit(path_, RowOf(ds_.x, 0)).get().ok());
   ASSERT_TRUE(server.Reload(path_).ok());
   auto features = server.Submit(path_, RowOf(ds_.x, 1)).get();
   ASSERT_TRUE(features.ok());
   EXPECT_TRUE(features.value().AllClose(RowOf(reference_, 1), 0));
-  EXPECT_EQ(server.stats().store.reloads, 1u);
+  EXPECT_EQ(server.metrics_snapshot().CounterTotal("store_reloads_total"),
+            1u);
 }
 
 TEST_F(ServerTest, ReloadThenShutdownResolvesQueuedAndFreshExactlyOnce) {
@@ -128,10 +131,10 @@ TEST_F(ServerTest, ReloadThenShutdownResolvesQueuedAndFreshExactlyOnce) {
   // (sealing the old queue), then an immediate Shutdown. Both futures
   // must resolve exactly once, each on the instance it was submitted
   // against.
-  ServerConfig config;
+  RouterConfig config;
   config.batcher.max_batch_rows = 100;           // only Shutdown flushes
   config.batcher.max_queue_micros = 60'000'000;
-  Server server(config);
+  Router server(config);
   auto queued = server.Submit(path_, RowOf(ds_.x, 0));
   // Replace the artifact on disk with a differently-seeded model so the
   // two instances are distinguishable by their outputs.
@@ -154,13 +157,13 @@ TEST_F(ServerTest, ReloadThenShutdownResolvesQueuedAndFreshExactlyOnce) {
   auto new_features = fresh.get();
   ASSERT_TRUE(new_features.ok()) << new_features.status().ToString();
   EXPECT_TRUE(new_features.value().AllClose(RowOf(swapped_reference, 1), 0));
-  const Server::Stats stats = server.stats();
-  EXPECT_EQ(stats.batcher.batches, 2u);
-  EXPECT_EQ(stats.batcher.swap_flushes, 1u);
+  const obs::MetricsSnapshot metrics = server.metrics_snapshot();
+  EXPECT_EQ(metrics.CounterTotal("serve_batches_total"), 2u);
+  EXPECT_EQ(metrics.CounterTotal("serve_swap_flushes_total"), 1u);
 }
 
 TEST_F(ServerTest, ServesInMemoryModelsViaStorePut) {
-  Server server;
+  Router server;
   auto model = api::Model::Load(path_);
   ASSERT_TRUE(model.ok());
   server.store().Put("hot", std::move(model).value());
@@ -170,9 +173,9 @@ TEST_F(ServerTest, ServesInMemoryModelsViaStorePut) {
 }
 
 TEST_F(ServerTest, ConcurrentClientsGetBitIdenticalRows) {
-  ServerConfig config;
+  RouterConfig config;
   config.batcher.max_batch_rows = 8;
-  Server server(config);
+  Router server(config);
   constexpr int kClients = 4;
   constexpr int kRounds = 3;
   std::vector<std::thread> clients;
@@ -199,8 +202,7 @@ TEST_F(ServerTest, ConcurrentClientsGetBitIdenticalRows) {
   }
   for (std::thread& client : clients) client.join();
   for (int c = 0; c < kClients; ++c) EXPECT_EQ(mismatches[c], 0);
-  const Server::Stats stats = server.stats();
-  EXPECT_EQ(stats.batcher.requests,
+  EXPECT_EQ(server.metrics_snapshot().CounterTotal("serve_requests_total"),
             static_cast<std::uint64_t>(kClients * kRounds) *
                 (ds_.x.rows() / kClients));
 }

@@ -230,7 +230,7 @@ def self_test(root: pathlib.Path) -> int:
 
     # Layering back-edge: util reaching up into serve.
     expect("layering-back-edge", "src/util/bad.h",
-           '#include "serve/server.h"\n', "layering violation")
+           '#include "serve/router.h"\n', "layering violation")
     # Layering skip-edge: linalg reaching sideways into data.
     expect("layering-side-edge", "src/linalg/bad.cc",
            '#include "data/source.h"\n', "layering violation")

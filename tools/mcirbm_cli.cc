@@ -626,28 +626,41 @@ void PrintCommentedStats(const serve::RequestExecutor& executor,
   std::cout << std::flush;
 }
 
-// The complete end-of-serve counter line, agreeing field-for-field with
-// the op=stats registry surface (requests/rejected/batches plus every
-// flush-trigger and store counter — nothing summarized away).
+// The end-of-serve counter line, derived from the same registry snapshot
+// op=stats renders (each field is a counter summed over model keys), so
+// the two can never disagree. Every token stays key=value:
+// perfbench/run.py parses the line that way.
 void PrintServeSummary(const serve::Router& server, std::uint64_t served,
                        std::uint64_t failures) {
-  const serve::Router::Stats stats = server.stats();
+  const obs::MetricsSnapshot metrics = server.metrics_snapshot();
+  const auto total = [&metrics](const char* name) {
+    return metrics.CounterTotal(name);
+  };
+  // Exact means: the line prints after every accepted request has
+  // resolved, so every accepted row has been through a batch and every
+  // request's queue wait has been recorded.
+  const std::uint64_t batches = total("serve_batches_total");
+  const double mean_batch_rows =
+      batches == 0 ? 0.0
+                   : static_cast<double>(total("serve_rows_total")) /
+                         static_cast<double>(batches);
   std::cout << "# served=" << served << " failed=" << failures
             << " replicas=" << server.replicas()
-            << " requests=" << stats.batcher.requests
-            << " rejected=" << stats.batcher.rejected_requests
-            << " batches=" << stats.batcher.batches
-            << " full_flushes=" << stats.batcher.full_flushes
-            << " deadline_flushes=" << stats.batcher.deadline_flushes
-            << " swap_flushes=" << stats.batcher.swap_flushes
-            << " mean_batch_rows="
-            << FormatDouble(stats.batcher.MeanBatchRows(), 2)
+            << " requests=" << total("serve_requests_total")
+            << " rejected=" << total("serve_rejected_total")
+            << " batches=" << batches
+            << " full_flushes=" << total("serve_full_flushes_total")
+            << " deadline_flushes=" << total("serve_deadline_flushes_total")
+            << " swap_flushes=" << total("serve_swap_flushes_total")
+            << " mean_batch_rows=" << FormatDouble(mean_batch_rows, 2)
             << " mean_queue_micros="
-            << FormatDouble(stats.batcher.MeanQueueMicros(), 1)
-            << " store_hits=" << stats.store.hits
-            << " store_misses=" << stats.store.misses
-            << " store_reloads=" << stats.store.reloads
-            << " store_evictions=" << stats.store.evictions << std::endl;
+            << FormatDouble(
+                   metrics.HistogramTotal("serve_queue_wait_micros").Mean(), 1)
+            << " store_hits=" << total("store_hits_total")
+            << " store_misses=" << total("store_misses_total")
+            << " store_reloads=" << total("store_reloads_total")
+            << " store_evictions=" << total("store_evictions_total")
+            << std::endl;
 }
 
 // serve --listen: hand the request stream to the TCP transport and park
