@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -105,11 +104,9 @@ StatusOr<voting::LocalSupervision> TryComputeSelfLearningSupervision(
   if (!specs_or.ok()) return specs_or.status();
   const std::vector<VoterSpec> specs = std::move(specs_or).value();
 
-  // Every voter repeat is an independent (clusterer, seed) job; collect
-  // them first so the ensemble can train in parallel. Slot order — and
-  // therefore the integrated result — matches the original serial
-  // construction exactly: repeat v of a spec runs with seed + v·7919.
-  std::vector<std::function<std::vector<int>()>> voters;
+  // Build and validate every voter before the first one runs, so a bad
+  // spec fails before any clustering work starts.
+  std::vector<std::unique_ptr<clustering::Clusterer>> clusterers;
   for (const VoterSpec& spec : specs) {
     ParamMap params = spec.params;
     if (!params.Has("k")) {
@@ -119,24 +116,26 @@ StatusOr<voting::LocalSupervision> TryComputeSelfLearningSupervision(
         clustering::ClustererRegistry::Global().Create(spec.clusterer,
                                                        params);
     if (!clusterer_or.ok()) return clusterer_or.status();
-    std::shared_ptr<clustering::Clusterer> clusterer =
-        std::move(clusterer_or).value();
-    for (int v = 0; v < spec.count; ++v) {
-      const std::uint64_t voter_seed =
-          seed + static_cast<std::uint64_t>(v) * 7919ULL;
-      voters.push_back([&x, clusterer, voter_seed] {
-        return clusterer->Cluster(x, voter_seed).assignment;
-      });
+    int k = 0;
+    MCIRBM_ASSIGN_OR_RETURN(k, params.GetInt("k", k));
+    if (k > 0 && static_cast<std::size_t>(k) > x.rows()) {
+      return Status::InvalidArgument(
+          "voter '" + spec.clusterer + "': k = " + std::to_string(k) +
+          " exceeds the " + std::to_string(x.rows()) + " input rows");
     }
+    clusterers.push_back(std::move(clusterer_or).value());
   }
 
-  std::vector<std::vector<int>> partitions(voters.size());
-  parallel::ParallelFor(voters.size(), 1,
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t v = begin; v < end; ++v) {
-                            partitions[v] = voters[v]();
-                          }
-                        });
+  // Run the voters in spec order, one after another, each with the whole
+  // pool; repeat v of a spec runs with seed + v·7919.
+  std::vector<std::vector<int>> partitions;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    for (int v = 0; v < specs[s].count; ++v) {
+      const std::uint64_t voter_seed =
+          seed + static_cast<std::uint64_t>(v) * 7919ULL;
+      partitions.push_back(clusterers[s]->Cluster(x, voter_seed).assignment);
+    }
+  }
 
   voting::LocalSupervision sup = voting::IntegratePartitions(
       partitions, config.strategy, config.min_cluster_size);

@@ -11,8 +11,8 @@
 //   2. Safety under composition. ParallelFor called from inside a parallel
 //      region (a worker thread, or the caller participating in one)
 //      executes inline and serially instead of re-entering the pool, so
-//      coarse-grained fan-out (ensemble voters, experiment repeats) can
-//      freely call into fine-grained parallel kernels.
+//      coarse-grained fan-out (the experiment harness's repeats and
+//      datasets) can freely call into fine-grained parallel kernels.
 //   3. Zero cost when cheap. Regions smaller than one grain never touch
 //      the pool; a pool of width 1 never spawns threads.
 //

@@ -86,6 +86,30 @@ TEST(SupervisionPipelineDeathTest, NoClusterersAborts) {
                "at least one base clusterer");
 }
 
+TEST(SupervisionPipelineTest, VoterKAboveRowCountIsInvalidArgument) {
+  // Both the shared num_clusters and a spec's own k are checked against
+  // the row count before any voter runs, instead of aborting in the
+  // clusterer.
+  const linalg::Matrix x(10, 3);
+  SupervisionConfig shared_k;
+  shared_k.num_clusters = 50;
+  const auto too_many = TryComputeSelfLearningSupervision(x, shared_k, 1);
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_many.status().message().find("'dp'"), std::string::npos)
+      << too_many.status().ToString();
+
+  SupervisionConfig spec_k;
+  spec_k.num_clusters = 2;
+  ParamMap params;
+  params.Set("k", "50");
+  spec_k.voters = {{"kmeans", params, 1}};
+  const auto spec_too_many = TryComputeSelfLearningSupervision(x, spec_k, 1);
+  EXPECT_EQ(spec_too_many.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(spec_too_many.status().message().find("'kmeans'"),
+            std::string::npos)
+      << spec_too_many.status().ToString();
+}
+
 TEST(PipelineTest, AllModelKindsProduceFeatures) {
   data::Dataset d = MakeData(50, 8, 2, 4.0, 4);
   linalg::Matrix real = d.x;

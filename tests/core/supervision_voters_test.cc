@@ -3,10 +3,16 @@
 // make the unanimous vote stricter, trading coverage for precision.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "clustering/registry.h"
 #include "core/pipeline.h"
 #include "data/synthetic.h"
 #include "data/transforms.h"
 #include "metrics/external.h"
+#include "parallel/thread_pool.h"
+#include "voting/vote.h"
 
 namespace mcirbm::core {
 namespace {
@@ -86,6 +92,43 @@ TEST(SupervisionVotersTest, VotersUseDistinctSeeds) {
   const auto a = ComputeSelfLearningSupervision(ds.x, no_km, 2);
   const auto b = ComputeSelfLearningSupervision(ds.x, no_km_single, 2);
   EXPECT_EQ(a.cluster_of, b.cluster_of);
+}
+
+TEST(SupervisionVotersTest, MatchesStandaloneVoters) {
+  // The integration runs each voter exactly as a standalone Cluster call
+  // with seed + v·7919 would, in both determinism modes: with
+  // deterministic=false the k-means restarts take the same ShardRng
+  // fan-out inside the pipeline as they do alone.
+  const data::Dataset ds = NoisyMixture(6);
+  SupervisionConfig cfg;
+  cfg.num_clusters = 3;
+  cfg.voters = ParseVoterList("dp,kmeans*3,ap").value();
+  ParamMap params;
+  params.Set("k", std::to_string(cfg.num_clusters));
+  const bool saved_mode = parallel::Deterministic();
+  for (const bool deterministic : {true, false}) {
+    parallel::SetDeterministic(deterministic);
+    std::vector<std::vector<int>> partitions;
+    for (const VoterSpec& spec : cfg.voters) {
+      const auto clusterer = clustering::ClustererRegistry::Global()
+                                 .Create(spec.clusterer, params)
+                                 .value();
+      for (int v = 0; v < spec.count; ++v) {
+        partitions.push_back(
+            clusterer->Cluster(ds.x, 9 + static_cast<std::uint64_t>(v) * 7919)
+                .assignment);
+      }
+    }
+    const voting::LocalSupervision expected = voting::IntegratePartitions(
+        partitions, cfg.strategy, cfg.min_cluster_size);
+    const voting::LocalSupervision got =
+        TryComputeSelfLearningSupervision(ds.x, cfg, 9).value();
+    EXPECT_EQ(got.cluster_of, expected.cluster_of)
+        << "deterministic=" << deterministic;
+    EXPECT_EQ(got.num_clusters, expected.num_clusters)
+        << "deterministic=" << deterministic;
+  }
+  parallel::SetDeterministic(saved_mode);
 }
 
 TEST(SupervisionVotersDeathTest, ZeroVotersAborts) {

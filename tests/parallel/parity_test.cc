@@ -13,6 +13,7 @@
 #include "clustering/gmm.h"
 #include "clustering/kmeans.h"
 #include "clustering/spectral.h"
+#include "core/pipeline.h"
 #include "core/sls_gradient.h"
 #include "data/synthetic.h"
 #include "linalg/ops.h"
@@ -236,6 +237,42 @@ TEST_F(ParityTest, DensityPeaksIdenticalAcrossWidths) {
   clustering::DensityPeaksConfig cfg;
   cfg.k = 4;
   ExpectSameClusteringAtAllWidths(clustering::DensityPeaks(cfg), ds.x);
+}
+
+TEST_F(ParityTest, SupervisionIdenticalAcrossWidths) {
+  // The composed supervision stage: dp, three k-means repeats and ap run
+  // one after another on the whole pool, then the unanimous vote. In the
+  // fast mode the k-means restarts take their ShardRng fan-out, which is
+  // thread-count invariant as well. Overlapping classes, so the k-means
+  // restarts disagree and every voter seed shows in the vote.
+  data::GaussianMixtureSpec spec;
+  spec.name = "parity-supervision";
+  spec.num_classes = 3;
+  spec.num_instances = 300;
+  spec.num_features = 16;
+  spec.separation = 2.0;
+  spec.informative_fraction = 0.5;
+  spec.confusion_fraction = 0.15;
+  const data::Dataset ds = data::GenerateGaussianMixture(spec, 67);
+  core::SupervisionConfig cfg;
+  cfg.num_clusters = 3;
+  cfg.voters = core::ParseVoterList("dp,kmeans*3,ap").value();
+  for (const bool deterministic : {true, false}) {
+    parallel::SetDeterministic(deterministic);
+    parallel::SetNumThreads(1);
+    const voting::LocalSupervision reference =
+        core::TryComputeSelfLearningSupervision(ds.x, cfg, 5).value();
+    EXPECT_GT(reference.num_clusters, 0);
+    for (int width : {2, 4, 8}) {
+      parallel::SetNumThreads(width);
+      const voting::LocalSupervision got =
+          core::TryComputeSelfLearningSupervision(ds.x, cfg, 5).value();
+      EXPECT_EQ(got.cluster_of, reference.cluster_of)
+          << "deterministic=" << deterministic << " at " << width
+          << " threads";
+      EXPECT_EQ(got.num_clusters, reference.num_clusters);
+    }
+  }
 }
 
 TEST_F(ParityTest, PcaFitAndTransformBitIdenticalAcrossWidths) {
