@@ -3,6 +3,8 @@
 // the algebraic reduction), and the three clusterers.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "clustering/affinity_propagation.h"
 #include "clustering/density_peaks.h"
 #include "clustering/kmeans.h"
@@ -199,4 +201,15 @@ BENCHMARK(BM_AffinityPropagation)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// Records which GEMM kernel set ran (the widest the CPU supports) in the
+// context block of every report, so a JSON record taken on a machine
+// without AVX-512 is not read against one from an AVX-512 machine.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("gemm_kernels",
+                              std::string(linalg::GemmKernelName()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -219,39 +219,6 @@ std::unique_ptr<rbm::RbmBase> MakeEncoder(
 
 }  // namespace
 
-StatusOr<PipelineResult> TryRunEncoderPipeline(const linalg::Matrix& x,
-                                               const PipelineConfig& config,
-                                               std::uint64_t seed) {
-  const Status valid = ValidatePipelineInput(x.rows(), x.cols(), config);
-  if (!valid.ok()) return valid;
-  const bool is_sls = config.model == ModelKind::kSlsRbm ||
-                      config.model == ModelKind::kSlsGrbm;
-
-  ApplyParallelConfig(config.parallel);
-  rbm::RbmConfig rbm_config = config.rbm;
-  if (rbm_config.num_visible == 0) {
-    rbm_config.num_visible = static_cast<int>(x.cols());
-  }
-  rbm_config.seed = rbm_config.seed ^ seed;
-
-  PipelineResult result;
-  if (is_sls) {
-    auto sup =
-        TryComputeSelfLearningSupervision(x, config.supervision, seed);
-    if (!sup.ok()) return sup.status();
-    result.supervision = std::move(sup).value();
-  }
-
-  result.model = MakeEncoder(config, rbm_config, result.supervision);
-
-  const std::vector<rbm::EpochStats> history = result.model->Train(x);
-  result.final_reconstruction_error =
-      history.empty() ? result.model->ReconstructionError(x)
-                      : history.back().reconstruction_error;
-  result.hidden_features = result.model->HiddenFeatures(x);
-  return result;
-}
-
 StatusOr<PipelineResult> TryRunEncoderPipelineFromSource(
     const rbm::TrainingDataSource& source, const PipelineConfig& config,
     std::uint64_t seed) {
@@ -294,6 +261,9 @@ StatusOr<PipelineResult> TryRunEncoderPipelineFromSource(
   if (!history.empty()) {
     result.final_reconstruction_error =
         history.back().reconstruction_error;
+  } else if (const linalg::Matrix* dense = source.DenseView()) {
+    result.final_reconstruction_error =
+        result.model->ReconstructionError(*dense);
   } else {
     // Zero-epoch run: stream the reconstruction error in row blocks.
     // (Block-mean accumulation, not element-shard order — only this
@@ -317,6 +287,17 @@ StatusOr<PipelineResult> TryRunEncoderPipelineFromSource(
         weighted / static_cast<double>(source.rows());
   }
   // hidden_features stays empty: out-of-core callers stream transforms.
+  return result;
+}
+
+StatusOr<PipelineResult> TryRunEncoderPipeline(const linalg::Matrix& x,
+                                               const PipelineConfig& config,
+                                               std::uint64_t seed) {
+  auto trained = TryRunEncoderPipelineFromSource(
+      rbm::MatrixTrainingSource(x), config, seed);
+  if (!trained.ok()) return trained.status();
+  PipelineResult result = std::move(trained).value();
+  result.hidden_features = result.model->HiddenFeatures(x);
   return result;
 }
 

@@ -128,13 +128,15 @@ struct PipelineResult {
 /// Trains the configured encoder on `x` and extracts hidden features.
 /// For sls models the supervision is computed from `x` itself (fully
 /// unsupervised). Deterministic given `seed`. Invalid configurations
-/// (empty data, bad hyper-parameters, unresolvable voters) return non-OK
+/// (empty data, bad hyper-parameters, unresolvable voters) and training
+/// that diverges (a learning rate too large for the data) return non-OK
 /// Status instead of aborting.
 StatusOr<PipelineResult> TryRunEncoderPipeline(const linalg::Matrix& x,
                                                const PipelineConfig& config,
                                                std::uint64_t seed);
 
-/// TryRunEncoderPipeline gathering minibatches through `source` — the
+/// The training half of TryRunEncoderPipeline (which runs it on a
+/// MatrixTrainingSource), gathering minibatches through `source` — the
 /// out-of-core entry point. Bit-identical to the materialized run with the
 /// same rows: the trainer streams double-buffered batches, so peak
 /// residency is a couple of minibatches, not the dataset. Features that

@@ -4,20 +4,23 @@
 // math: Gemm(A,B) = A·B; GemmTransA(A,B) = Aᵀ·B; GemmTransB(A,B) = A·Bᵀ.
 // All four run one core, C += α·op(A)·op(B) over strided operand views: A
 // is packed into small row panels with α folded in, B is read in place (or
-// packed when transposed), and one register-blocked microkernel in portable
-// C++ does the multiply-adds.
+// packed when transposed), and register-blocked microkernels do the
+// multiply-adds. The microkernels come from one kernel set, picked once, on
+// first use, from the CPU: AVX-512F where the CPU supports it, else the
+// portable C++ set that every platform compiles. Nothing else selects it.
 //
 // Exactness contract: every output element is computed as
 //   c ← 0 (or out(i,j)),  then  c ← c + fl(fl(α·a(i,p))·b(p,j))
 // for p = 0, 1, ..., k-1 — a separate rounded multiply and add, in
 // ascending p, exactly the naive triple loop (α = 1 for the three
 // non-accumulating forms). Results are therefore bit-identical to that
-// reference at any tiling and any thread count. Zeros in A are not
+// reference at any tiling, thread count and kernel set. Zeros in A are not
 // skipped, so a NaN or infinity in B propagates even behind a zero.
 #ifndef MCIRBM_LINALG_OPS_H_
 #define MCIRBM_LINALG_OPS_H_
 
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -36,6 +39,25 @@ Matrix GemmTransB(const Matrix& a, const Matrix& b);
 /// out += alpha · Aᵀ·B (accumulating version used by gradient code).
 void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,
                           Matrix* out);
+
+/// The kernel set the GEMM core runs: "avx512" or "portable".
+std::string_view GemmKernelName();
+
+namespace internal {
+/// Every kernel set this CPU can run, widest first; "portable" is last.
+std::vector<std::string_view> SupportedGemmKernels();
+
+/// While alive, the GEMM core runs the named set (one of
+/// SupportedGemmKernels()) instead of the widest. A test seam for checking
+/// each set; scopes must not overlap.
+class ScopedGemmKernel {
+ public:
+  explicit ScopedGemmKernel(std::string_view name);
+  ~ScopedGemmKernel();
+  ScopedGemmKernel(const ScopedGemmKernel&) = delete;
+  ScopedGemmKernel& operator=(const ScopedGemmKernel&) = delete;
+};
+}  // namespace internal
 
 /// Adds `v` (length cols) to every row of `m` in place.
 void AddRowVector(Matrix* m, const std::vector<double>& v);

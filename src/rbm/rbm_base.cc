@@ -216,19 +216,13 @@ void RbmBase::SampleBernoulliSharded(linalg::Matrix* probs,
 }
 
 std::vector<EpochStats> RbmBase::Train(const linalg::Matrix& data) {
-  const MatrixTrainingSource source(data);
-  auto history = TrainImpl(source, /*prefetch=*/false);
-  MCIRBM_CHECK(history.ok()) << name() << ": " << history.status().ToString();
+  auto history = TrainFromSource(MatrixTrainingSource(data));
+  MCIRBM_CHECK(history.ok()) << history.status().ToString();
   return std::move(history).value();
 }
 
 StatusOr<std::vector<EpochStats>> RbmBase::TrainFromSource(
     const TrainingDataSource& source) {
-  return TrainImpl(source, /*prefetch=*/true);
-}
-
-StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
-    const TrainingDataSource& source, bool prefetch) {
   if (source.cols() != static_cast<std::size_t>(config_.num_visible)) {
     return Status::InvalidArgument(
         name() + ": data width " + std::to_string(source.cols()) +
@@ -241,6 +235,15 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
   const std::size_t batch_size =
       config_.batch_size > 0 ? static_cast<std::size_t>(config_.batch_size)
                              : n;
+  const std::size_t num_batches = (n + batch_size - 1) / batch_size;
+  // Training has diverged once a batch's telemetry or the parameters turn
+  // non-finite; it stops with this error rather than return them.
+  const auto diverged = [&](int epoch, std::size_t batch, const char* what) {
+    return Status::InvalidArgument(
+        name() + ": training diverged at epoch " + std::to_string(epoch) +
+        ", batch " + std::to_string(batch) + " (" + what +
+        "); lower rbm.learning_rate");
+  };
 
   rng::Rng rng(config_.seed ^ 0x5242747261696eULL);  // "RBtrain" stream
   const std::size_t nv = w_.rows(), nh = w_.cols();
@@ -314,13 +317,15 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
 
     // The epoch's minibatches: contiguous slices of the shuffled order.
     std::vector<std::vector<std::size_t>> epoch_batches;
-    epoch_batches.reserve((n + batch_size - 1) / batch_size);
+    epoch_batches.reserve(num_batches);
     for (std::size_t start = 0; start < n; start += batch_size) {
       const std::size_t end = std::min(start + batch_size, n);
       epoch_batches.emplace_back(order.begin() + start, order.begin() + end);
     }
+    // A resident matrix gathers in a copy; only a streamed source has a
+    // read worth overlapping with compute.
     std::unique_ptr<BatchPrefetcher> prefetcher;
-    if (prefetch) {
+    if (source.DenseView() == nullptr) {
       prefetcher = std::make_unique<BatchPrefetcher>(source, epoch_batches);
     }
 
@@ -425,6 +430,27 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
       const BatchContext ctx{idx, v, h_data, v_recon, h_recon};
       AccumulateSupervisionGradient(ctx, &grads);
 
+      // Telemetry, checked before the step reaches the parameters.
+      const double err = parallel::ShardedSum(
+          v.size(), kElemGrain, [&](std::size_t begin, std::size_t end) {
+            double s = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+              const double d = v.data()[i] - v_recon.data()[i];
+              s += d * d;
+            }
+            return s;
+          });
+      const double grad_norm = grads.dw.FrobeniusNorm();
+      if (!std::isfinite(err) || !std::isfinite(grad_norm)) {
+        return diverged(epoch, batches,
+                        "non-finite reconstruction error or gradient");
+      }
+      epoch_err += err / static_cast<double>(v.size());
+      epoch_gnorm += grad_norm;
+      epoch_activation +=
+          h_data.Sum() / static_cast<double>(h_data.size());
+      ++batches;
+
       // Parameter update with momentum and L2 weight decay on W.
       const double lr = config_.learning_rate;
       const double mom =
@@ -449,22 +475,6 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
         b_vel[j] = mom * b_vel[j] + lr * grads.db[j];
         b_[j] += b_vel[j];
       }
-
-      // Telemetry.
-      const double err = parallel::ShardedSum(
-          v.size(), kElemGrain, [&](std::size_t begin, std::size_t end) {
-            double s = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-              const double d = v.data()[i] - v_recon.data()[i];
-              s += d * d;
-            }
-            return s;
-          });
-      epoch_err += err / static_cast<double>(v.size());
-      epoch_gnorm += grads.dw.FrobeniusNorm();
-      epoch_activation +=
-          h_data.Sum() / static_cast<double>(h_data.size());
-      ++batches;
     }
 
     EpochStats stats;
@@ -476,6 +486,16 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainImpl(
     history.push_back(stats);
     MCIRBM_LOG(kDebug) << name() << " epoch " << epoch
                        << " recon=" << stats.reconstruction_error;
+  }
+
+  // The loop checks each batch before its update; this checks the last.
+  const auto finite = [](double value) { return std::isfinite(value); };
+  if (!history.empty() &&
+      !(std::all_of(w_.data(), w_.data() + w_.size(), finite) &&
+        std::all_of(a_.begin(), a_.end(), finite) &&
+        std::all_of(b_.begin(), b_.end(), finite))) {
+    return diverged(config_.epochs - 1, num_batches - 1,
+                    "non-finite parameters after the update");
   }
   return history;
 }

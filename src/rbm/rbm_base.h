@@ -54,18 +54,23 @@ class RbmBase {
   virtual std::string name() const = 0;
 
   /// Trains on the rows of `data` (n x num_visible). Returns per-epoch
-  /// stats. Deterministic given config.seed.
+  /// stats. Deterministic given config.seed. CHECK-fails where
+  /// TrainFromSource would return an error.
   std::vector<EpochStats> Train(const linalg::Matrix& data);
 
-  /// Trains by gathering minibatches from `source` — the out-of-core
-  /// path. A background thread double-buffers the next batch gather
-  /// while the current one trains, so at most two batches (plus PCD
-  /// chains) are resident at once. Gathering is RNG-free, so the result
-  /// is bit-identical to Train on the materialized matrix, in both
-  /// determinism modes and at any thread count. PCA weight init needs
-  /// the full matrix and fails with kInvalidArgument unless the source
-  /// has a DenseView; malformed shapes and gather failures surface as
-  /// non-OK Status instead of aborting.
+  /// Trains by gathering minibatches from `source`. A source without a
+  /// DenseView is the out-of-core path: a background thread
+  /// double-buffers the next batch gather while the current one trains,
+  /// so at most two batches (plus PCD chains) are resident at once.
+  /// Gathering is RNG-free, so the result is bit-identical to Train on
+  /// the materialized matrix, in both determinism modes and at any thread
+  /// count. PCA weight init needs the full matrix and fails with
+  /// kInvalidArgument unless the source has a DenseView. Malformed shapes
+  /// and gather failures surface as non-OK Status instead of aborting, as
+  /// does divergence: a batch whose reconstruction error or gradient norm
+  /// is non-finite returns kInvalidArgument naming the epoch and batch,
+  /// before that step reaches the parameters, and so does a last update
+  /// that leaves a parameter non-finite.
   StatusOr<std::vector<EpochStats>> TrainFromSource(
       const TrainingDataSource& source);
 
@@ -132,12 +137,6 @@ class RbmBase {
   std::vector<double> b_;  ///< hidden bias
 
  private:
-  /// Shared CD loop behind Train and TrainFromSource. With `prefetch`,
-  /// batch gathers run one ahead on a background thread (results are
-  /// identical either way; Train on a resident matrix skips the thread).
-  StatusOr<std::vector<EpochStats>> TrainImpl(
-      const TrainingDataSource& source, bool prefetch);
-
   void InitParameters();
   /// Replaces the Gaussian init with the leading principal directions of
   /// `data` (config WeightInit::kPca); called once at the start of Train.

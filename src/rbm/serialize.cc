@@ -72,30 +72,37 @@ Status ReadHeader(std::istream& in, const std::string& context,
   return Status::Ok();
 }
 
+// Reads one tagged block of `count` values into `out`. The stream is
+// checked after every value, so a value that does not parse (such as the
+// "-nan" a diverged model writes) is reported by block and entry index.
+Status ReadBlock(std::istream& in, const std::string& context,
+                 const std::string& tag, std::size_t count, double* out) {
+  std::string got;
+  in >> got;
+  if (got != tag) {
+    return Status::ParseError(context + ": expected '" + tag + "'");
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!(in >> out[i])) {
+      return Status::ParseError(context + ": block '" + tag + "' entry " +
+                                std::to_string(i) + " is missing or not a "
+                                "finite number");
+    }
+  }
+  return Status::Ok();
+}
+
 // Reads the a/b/W parameter block into an already shape-matched model.
 Status ReadParameterBlock(std::istream& in, const std::string& context,
                           std::size_t nv, std::size_t nh, RbmBase* model) {
-  std::string tag;
-  in >> tag;
-  if (tag != "a:") return Status::ParseError(context + ": expected 'a:'");
-  for (std::size_t j = 0; j < nv; ++j) {
-    in >> (*model->mutable_visible_bias())[j];
-  }
-  in >> tag;
-  if (tag != "b:") return Status::ParseError(context + ": expected 'b:'");
-  for (std::size_t j = 0; j < nh; ++j) {
-    in >> (*model->mutable_hidden_bias())[j];
-  }
-  in >> tag;
-  if (tag != "W:") return Status::ParseError(context + ": expected 'W:'");
-  linalg::Matrix* w = model->mutable_weights();
-  for (std::size_t r = 0; r < nv; ++r) {
-    for (std::size_t c = 0; c < nh; ++c) in >> (*w)(r, c);
-  }
-  if (!in) {
-    return Status::ParseError(context + ": truncated parameter block");
-  }
-  return Status::Ok();
+  Status status = ReadBlock(in, context, "a:", nv,
+                            model->mutable_visible_bias()->data());
+  if (!status.ok()) return status;
+  status = ReadBlock(in, context, "b:", nh,
+                     model->mutable_hidden_bias()->data());
+  if (!status.ok()) return status;
+  return ReadBlock(in, context, "W:", nv * nh,
+                   model->mutable_weights()->data());
 }
 
 }  // namespace

@@ -171,6 +171,22 @@ TEST(PipelineTest, SlsFeaturesImproveKmeansOnModerateData) {
   EXPECT_GE(acc_sls, acc_raw - 0.02);
 }
 
+// Divergent training is an error of the run, not a model full of NaN.
+TEST(PipelineTest, DivergentTrainingReturnsInvalidArgument) {
+  data::Dataset d = MakeData(60, 8, 2, 4.0, 3);
+  data::StandardizeInPlace(&d.x);
+  PipelineConfig cfg = SmallConfig(ModelKind::kGrbm);
+  cfg.rbm.learning_rate = 1e6;
+  cfg.rbm.epochs = 60;
+  const auto result = TryRunEncoderPipeline(d.x, cfg, 3);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("epoch"), std::string::npos)
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("rbm.learning_rate"),
+            std::string::npos);
+}
+
 TEST(PipelineTest, ModelKindNamesAreStable) {
   EXPECT_STREQ(ModelKindName(ModelKind::kRbm), "RBM");
   EXPECT_STREQ(ModelKindName(ModelKind::kGrbm), "GRBM");

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "rng/rng.h"
 
@@ -59,14 +62,26 @@ TEST(GemmTest, IdentityIsNeutral) {
   EXPECT_TRUE(Gemm(id, a).AllClose(a, 1e-12));
 }
 
-// Property sweep: every GEMM entry point equals the naive reference bit
-// for bit across awkward shapes — m or n below, at and just past the
-// register tile, k = 0, depth past one packed block, and the VT CD shape.
+std::string KernelSetName(
+    const ::testing::TestParamInfo<std::string_view>& info) {
+  return std::string(info.param);
+}
+
+using Shape = std::tuple<int, int, int>;  // (m, k, n) of op(A)·op(B)
+
+// Property sweep: every GEMM entry point, under every kernel set, equals
+// the naive reference bit for bit across awkward shapes — m or n below, at
+// and just past each set's register tile, k = 0, depth past one packed
+// block, and the VT CD shape. The fixture runs each test under the set
+// named by the first parameter.
 class GemmShapeTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string_view, Shape>> {
+ protected:
+  internal::ScopedGemmKernel kernel_{std::get<0>(GetParam())};
+};
 
 TEST_P(GemmShapeTest, MatchesNaiveReference) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = std::get<1>(GetParam());
   rng::Rng rng(1000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(k, n, &rng);
@@ -74,7 +89,7 @@ TEST_P(GemmShapeTest, MatchesNaiveReference) {
 }
 
 TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = std::get<1>(GetParam());
   rng::Rng rng(2000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(k, m, &rng);  // will be transposed
   Matrix b = RandomMatrix(k, n, &rng);
@@ -82,35 +97,67 @@ TEST_P(GemmShapeTest, TransAMatchesExplicitTranspose) {
 }
 
 TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
-  const auto [m, k, n] = GetParam();
+  const auto [m, k, n] = std::get<1>(GetParam());
   rng::Rng rng(3000 + m * 97 + k * 13 + n);
   Matrix a = RandomMatrix(m, k, &rng);
   Matrix b = RandomMatrix(n, k, &rng);  // will be transposed
   EXPECT_TRUE(BitIdentical(GemmTransB(a, b), NaiveGemm(a, b.Transposed())));
 }
 
+std::vector<Shape> GemmShapes() {
+  std::vector<Shape> shapes = {
+      {1, 1, 1}, {3, 5, 2}, {7, 64, 9}, {65, 3, 64}, {64, 64, 64},
+      {100, 17, 65}, {2, 129, 1},
+      // m and n in {1, 3, 4, 5, 8, 9}: below, at and past the 3 x 8 tile.
+      {1, 7, 9}, {3, 6, 8}, {4, 9, 3}, {5, 4, 1}, {8, 5, 5}, {9, 3, 4},
+      {1, 899, 96},
+      // k = 0: the product is all zeros.
+      {4, 0, 5},
+      // Several row shards, depth past one packed block, ragged edges.
+      {70, 513, 13},
+      // A full shard of 11 panels followed by a one-row shard, which runs
+      // the widened 1 x 2nr tile: at the one-row width of each set (16
+      // for portable, 48 for avx512) and one column past it. k·n >= 2048
+      // keeps the minimum shard size in force.
+      {34, 100, 20}, {34, 130, 16}, {34, 130, 17},
+      {89, 130, 48}, {89, 130, 49},
+      // The VT CD shape: 879 rows of 899 visible units, 96 hidden.
+      {879, 899, 96}};
+  // m up to, at and past the 8-row tile; n below, at and past the
+  // 24-column tile and its 48-column one-row width.
+  for (int m : {5, 6, 7, 8, 9}) {
+    for (int n : {23, 24, 25, 47, 48, 49}) {
+      shapes.emplace_back(m, 3 + n % 11, n);
+    }
+  }
+  return shapes;
+}
+
+std::string ShapeCaseName(
+    const ::testing::TestParamInfo<GemmShapeTest::ParamType>& info) {
+  const auto [m, k, n] = std::get<1>(info.param);
+  return std::string(std::get<0>(info.param)) + "_" + std::to_string(m) +
+         "x" + std::to_string(k) + "x" + std::to_string(n);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmShapeTest,
-    ::testing::Values(
-        std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
-        std::make_tuple(7, 64, 9), std::make_tuple(65, 3, 64),
-        std::make_tuple(64, 64, 64), std::make_tuple(100, 17, 65),
-        std::make_tuple(2, 129, 1),
-        // m and n in {1, 3, 4, 5, 8, 9}: below, at and past the tile.
-        std::make_tuple(1, 7, 9), std::make_tuple(3, 6, 8),
-        std::make_tuple(4, 9, 3), std::make_tuple(5, 4, 1),
-        std::make_tuple(8, 5, 5), std::make_tuple(9, 3, 4),
-        std::make_tuple(1, 899, 96),
-        // k = 0: the product is all zeros.
-        std::make_tuple(4, 0, 5),
-        // Several row shards, depth past one packed block, ragged edges.
-        std::make_tuple(70, 513, 13),
-        // A full shard followed by a one-row shard (the widened tile).
-        std::make_tuple(34, 100, 20),
-        // The VT CD shape: 879 rows of 899 visible units, 96 hidden.
-        std::make_tuple(879, 899, 96)));
+    ::testing::Combine(::testing::ValuesIn(internal::SupportedGemmKernels()),
+                       ::testing::ValuesIn(GemmShapes())),
+    ShapeCaseName);
 
-TEST(AccumulateGemmTransATest, MatchesExplicitLoopBitwise) {
+// Runs each test under the kernel set named by the parameter: every set
+// this CPU supports, the portable set always among them.
+class GemmKernelTest : public ::testing::TestWithParam<std::string_view> {
+ protected:
+  internal::ScopedGemmKernel kernel_{GetParam()};
+};
+
+TEST_P(GemmKernelTest, ReportsTheSetItRuns) {
+  EXPECT_EQ(GemmKernelName(), GetParam());
+}
+
+TEST_P(GemmKernelTest, AccumulateGemmTransAMatchesExplicitLoopBitwise) {
   rng::Rng rng(4);
   const std::size_t k = 300, m = 11, n = 10;
   const Matrix a = RandomMatrix(k, m, &rng);
@@ -132,9 +179,9 @@ TEST(AccumulateGemmTransATest, MatchesExplicitLoopBitwise) {
   EXPECT_TRUE(BitIdentical(out, expected));
 }
 
-// A zero in A no longer hides a NaN in the B row it multiplies: 0·NaN is
+// A zero in A does not hide a NaN in the B row it multiplies: 0·NaN is
 // NaN, as the naive loop computes it.
-TEST(GemmTest, NanInBPropagatesBehindZeroInA) {
+TEST_P(GemmKernelTest, NanInBPropagatesBehindZeroInA) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const Matrix a{{0.0, 1.0}};
   const Matrix b{{nan, 2.0}, {3.0, 4.0}};
@@ -146,6 +193,46 @@ TEST(GemmTest, NanInBPropagatesBehindZeroInA) {
   AccumulateGemmTransA(2.0, a.Transposed(), b, &out);
   EXPECT_TRUE(std::isnan(out(0, 0)));
   EXPECT_EQ(out(0, 1), 8.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, GemmKernelTest,
+    ::testing::ValuesIn(internal::SupportedGemmKernels()), KernelSetName);
+
+TEST(GemmKernelSetTest, WidestSupportedSetRunsByDefault) {
+  const std::vector<std::string_view> sets = internal::SupportedGemmKernels();
+  ASSERT_FALSE(sets.empty());
+  EXPECT_EQ(sets.back(), "portable");
+  EXPECT_EQ(GemmKernelName(), sets.front());
+}
+
+// Every set writes the same bytes as the portable set at the VT CD shape
+// (879 rows of 899 visible units, 96 hidden), in all four orientations.
+TEST(GemmKernelSetTest, SetsAgreeBitwiseAtVtCdShape) {
+  rng::Rng rng(5);
+  const Matrix v = RandomMatrix(879, 899, &rng);
+  const Matrix w = RandomMatrix(899, 96, &rng);
+  const Matrix h = RandomMatrix(879, 96, &rng);
+  const Matrix grad = RandomMatrix(899, 96, &rng);
+  const auto products = [&] {
+    Matrix accumulated = grad;
+    AccumulateGemmTransA(-0.37, v, h, &accumulated);
+    return std::vector<Matrix>{Gemm(v, w), GemmTransA(v, h),
+                               GemmTransB(h, w), accumulated};
+  };
+  std::vector<Matrix> reference;
+  {
+    internal::ScopedGemmKernel portable("portable");
+    reference = products();
+  }
+  for (std::string_view set : internal::SupportedGemmKernels()) {
+    SCOPED_TRACE(std::string(set));
+    internal::ScopedGemmKernel scope(set);
+    const std::vector<Matrix> got = products();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(BitIdentical(got[i], reference[i])) << "product " << i;
+    }
+  }
 }
 
 TEST(AddRowVectorTest, AddsToEveryRow) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "data/transforms.h"
@@ -86,6 +88,78 @@ TEST(GrbmTest, TrainingIsStableOnStandardizedData) {
   model.Train(x);
   EXPECT_TRUE(std::isfinite(model.weights().FrobeniusNorm()));
   EXPECT_LT(model.weights().MaxAbs(), 100.0);  // no blow-up
+}
+
+// Streams rows from a matrix without exposing it, so training takes the
+// out-of-core path with its background prefetch thread.
+class StreamedSource final : public TrainingDataSource {
+ public:
+  explicit StreamedSource(const linalg::Matrix& x) : inner_(x) {}
+  std::size_t rows() const override { return inner_.rows(); }
+  std::size_t cols() const override { return inner_.cols(); }
+  Status GatherRows(const std::vector<std::size_t>& indices,
+                    linalg::Matrix* out) const override {
+    return inner_.GatherRows(indices, out);
+  }
+
+ private:
+  MatrixTrainingSource inner_;
+};
+
+// A learning rate far too large drives the reconstruction to NaN. Training
+// stops with kInvalidArgument naming the epoch instead of returning a model
+// whose saved parameters cannot be read back.
+TEST(GrbmTest, DivergentTrainingIsInvalidArgument) {
+  RbmConfig cfg = SmallConfig(10);
+  cfg.learning_rate = 1e6;
+  cfg.epochs = 60;
+  cfg.batch_size = 16;
+  const linalg::Matrix x = RealData(80, 10, 5);
+  const MatrixTrainingSource resident(x);
+  const StreamedSource streamed(x);
+  for (const TrainingDataSource* source :
+       {static_cast<const TrainingDataSource*>(&resident),
+        static_cast<const TrainingDataSource*>(&streamed)}) {
+    Grbm model(cfg);
+    const auto history = model.TrainFromSource(*source);
+    ASSERT_FALSE(history.ok());
+    EXPECT_EQ(history.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(history.status().message().find("epoch"), std::string::npos)
+        << history.status().message();
+    EXPECT_NE(history.status().message().find("rbm.learning_rate"),
+              std::string::npos);
+  }
+}
+
+// One epoch of one batch: the batch's reconstruction and gradient are
+// finite, so only the update itself overflows (lr · ∂a ≈ 1e308 · 4). The
+// parameters it leaves are checked too.
+TEST(GrbmTest, OverflowInTheLastUpdateIsInvalidArgument) {
+  RbmConfig cfg = SmallConfig(4);
+  cfg.learning_rate = 1e308;
+  cfg.epochs = 1;
+  cfg.batch_size = 0;  // the whole matrix in one batch
+  linalg::Matrix x(8, 4);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = 4.0 + 0.125 * static_cast<double>(i % 5);
+  }
+  Grbm model(cfg);
+  const auto history = model.TrainFromSource(MatrixTrainingSource(x));
+  ASSERT_FALSE(history.ok());
+  EXPECT_EQ(history.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(history.status().message().find(
+                "epoch 0, batch 0 (non-finite parameters after the update)"),
+            std::string::npos)
+      << history.status().message();
+}
+
+TEST(GrbmDeathTest, DivergentTrainAborts) {
+  RbmConfig cfg = SmallConfig(10);
+  cfg.learning_rate = 1e6;
+  cfg.epochs = 60;
+  Grbm model(cfg);
+  const linalg::Matrix x = RealData(80, 10, 5);
+  EXPECT_DEATH(model.Train(x), "grbm: training diverged at epoch");
 }
 
 }  // namespace

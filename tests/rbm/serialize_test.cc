@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "rbm/grbm.h"
 #include "rbm/rbm.h"
@@ -90,6 +92,36 @@ TEST_F(SerializeTest, TruncatedFileRejected) {
   out.close();
   Rbm model(Config());
   EXPECT_FALSE(LoadParameters(path_, &model).ok());
+}
+
+// A diverged model writes "-nan", which the loader cannot read back; the
+// error names the block and the entry that failed, not the next tag.
+TEST_F(SerializeTest, UnreadableValueNamesItsBlockAndEntry) {
+  const std::string header = std::string(kRbmMagic) + "\ngrbm\n2 2\n";
+  const struct {
+    std::string body;
+    std::string expected;
+  } cases[] = {
+      {"a: 0.5 -nan\nb: 1 2\nW:\n1 2\n3 4\n", "block 'a:' entry 1"},
+      {"a: 0.5 1\nb: 1 2\nW:\n1 2\n-nan 4\n", "block 'W:' entry 2"},
+  };
+  RbmConfig cfg;
+  cfg.num_visible = 2;
+  cfg.num_hidden = 2;
+  for (const auto& c : cases) {
+    std::istringstream in(header + c.body);
+    Rbm model(cfg);
+    const Status s = LoadParameters(in, &model);
+    ASSERT_FALSE(s.ok()) << c.body;
+    EXPECT_EQ(s.code(), StatusCode::kParseError);
+    EXPECT_NE(s.message().find(c.expected), std::string::npos)
+        << s.message();
+    std::istringstream again(header + c.body);
+    const auto loaded = LoadInferenceModel(again, "model.txt");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find(c.expected), std::string::npos)
+        << loaded.status().message();
+  }
 }
 
 TEST_F(SerializeTest, MissingFileIsIoError) {
