@@ -1,14 +1,23 @@
 // google-benchmark microbenchmarks for the numeric kernels:
 // GEMM variants, CD-1 epoch, sls gradient naive vs fast (the ablation of
-// the algebraic reduction), and the three clusterers.
+// the algebraic reduction), the three clusterers, and the CSV reader and
+// writer of the data layer.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <unistd.h>
 
 #include "clustering/affinity_propagation.h"
 #include "clustering/density_peaks.h"
 #include "clustering/kmeans.h"
 #include "core/sls_gradient.h"
+#include "data/io.h"
+#include "data/loaders.h"
+#include "data/paper_datasets.h"
 #include "data/synthetic.h"
 #include "linalg/ops.h"
 #include "rbm/grbm.h"
@@ -198,6 +207,73 @@ BENCHMARK(BM_AffinityPropagation)
     ->Args({128, 0})
     ->Args({256, 0})
     ->Args({1055, 2});
+
+// The data layer at VT's shape: synth msra:8 (879 x 899 plus the label
+// column, generator seed 7), written once to a temporary CSV that is
+// removed at exit. BM_CsvLoad reads it with LoadDataset, BM_CsvSave writes
+// it with SaveDatasetCsv; items are cells.
+class VtCsv {
+ public:
+  VtCsv()
+      : dataset_(data::GenerateMsraLike(8, 7)),
+        path_(TempPath("load")),
+        save_path_(TempPath("save")) {
+    if (!data::SaveDatasetCsv(dataset_, path_).ok()) std::abort();
+  }
+  ~VtCsv() {
+    std::remove(path_.c_str());
+    std::remove(save_path_.c_str());
+  }
+  VtCsv(const VtCsv&) = delete;
+  VtCsv& operator=(const VtCsv&) = delete;
+
+  const data::Dataset& dataset() const { return dataset_; }
+  const std::string& path() const { return path_; }
+  const std::string& save_path() const { return save_path_; }
+  std::int64_t cells() const {
+    return static_cast<std::int64_t>(dataset_.num_instances() *
+                                     (dataset_.num_features() + 1));
+  }
+
+ private:
+  static std::string TempPath(const char* what) {
+    return (std::filesystem::temp_directory_path() /
+            ("mcirbm_bench_vt_" + std::string(what) + "_" +
+             std::to_string(::getpid()) + ".csv"))
+        .string();
+  }
+
+  data::Dataset dataset_;
+  std::string path_;
+  std::string save_path_;
+};
+
+const VtCsv& SharedVtCsv() {
+  static const VtCsv csv;
+  return csv;
+}
+
+void BM_CsvLoad(benchmark::State& state) {
+  const VtCsv& csv = SharedVtCsv();
+  for (auto _ : state) {
+    auto loaded = data::LoadDataset(csv.path());
+    if (!loaded.ok()) state.SkipWithError("LoadDataset failed");
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetItemsProcessed(state.iterations() * csv.cells());
+}
+BENCHMARK(BM_CsvLoad)->Unit(benchmark::kMillisecond);
+
+void BM_CsvSave(benchmark::State& state) {
+  const VtCsv& csv = SharedVtCsv();
+  for (auto _ : state) {
+    if (!data::SaveDatasetCsv(csv.dataset(), csv.save_path()).ok()) {
+      state.SkipWithError("SaveDatasetCsv failed");
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * csv.cells());
+}
+BENCHMARK(BM_CsvSave)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

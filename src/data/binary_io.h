@@ -17,7 +17,7 @@
 // can be read in place from a read-only mmap with zero copies. Total file
 // size is fully determined by the header; any mismatch is corruption and
 // loads fail with kParseError. The format round-trips CSV exactly: f64
-// bits survive, and the CSV writer's setprecision(17) means
+// bits survive, and the CSV writer's %.17g cells mean
 // csv -> binary -> csv reproduces the original file byte for byte.
 //
 // This is the out-of-core backend: OpenMmapSource yields zero-copy chunks

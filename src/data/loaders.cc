@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "data/binary_io.h"
+#include "data/io.h"
 #include "data/paper_datasets.h"
 #include "util/string_util.h"
 
@@ -75,6 +76,26 @@ std::string InferScheme(const std::string& path) {
   return "csv";
 }
 
+// A spec split into its scheme and the rest ("csv:a.csv" -> csv, a.csv);
+// a bare path gets the inferred scheme.
+struct ResolvedSpec {
+  std::string scheme;
+  std::string rest;
+};
+
+StatusOr<ResolvedSpec> ResolveSpec(const std::string& spec) {
+  const std::string trimmed = Trim(spec);
+  if (trimmed.empty()) {
+    return Status::InvalidArgument("empty dataset spec");
+  }
+  const std::size_t colon = trimmed.find(':');
+  if (colon != std::string::npos &&
+      DataLoaderRegistry::Global().Contains(trimmed.substr(0, colon))) {
+    return ResolvedSpec{trimmed.substr(0, colon), trimmed.substr(colon + 1)};
+  }
+  return ResolvedSpec{InferScheme(trimmed), trimmed};
+}
+
 }  // namespace
 
 DataLoaderRegistry::DataLoaderRegistry() : NamedRegistry("data loader") {
@@ -103,23 +124,21 @@ DataLoaderRegistry& DataLoaderRegistry::Global() {
 
 StatusOr<std::unique_ptr<DataSource>> OpenDataSource(
     const std::string& spec, const DataSourceConfig& config) {
-  const std::string trimmed = Trim(spec);
-  if (trimmed.empty()) {
-    return Status::InvalidArgument("empty dataset spec");
-  }
-  const std::size_t colon = trimmed.find(':');
-  if (colon != std::string::npos &&
-      DataLoaderRegistry::Global().Contains(trimmed.substr(0, colon))) {
-    return DataLoaderRegistry::Global().Create(
-        trimmed.substr(0, colon), trimmed.substr(colon + 1), config);
-  }
-  return DataLoaderRegistry::Global().Create(InferScheme(trimmed), trimmed,
-                                             config);
+  auto resolved = ResolveSpec(spec);
+  if (!resolved.ok()) return resolved.status();
+  return DataLoaderRegistry::Global().Create(resolved.value().scheme,
+                                             resolved.value().rest, config);
 }
 
 StatusOr<Dataset> LoadDataset(const std::string& spec,
                               const DataSourceConfig& config) {
-  auto source = OpenDataSource(spec, config);
+  auto resolved = ResolveSpec(spec);
+  if (!resolved.ok()) return resolved.status();
+  const auto& [scheme, rest] = resolved.value();
+  // A CSV source would scan the file twice (Open's shape pass, then the
+  // data); materializing it directly reads it once.
+  if (scheme == "csv") return LoadDatasetCsv(rest, rest);
+  auto source = DataLoaderRegistry::Global().Create(scheme, rest, config);
   if (!source.ok()) return source.status();
   return source.value()->Materialize();
 }

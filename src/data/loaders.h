@@ -48,8 +48,9 @@ class DataLoaderRegistry
 StatusOr<std::unique_ptr<DataSource>> OpenDataSource(
     const std::string& spec, const DataSourceConfig& config = {});
 
-/// OpenDataSource + Materialize: the drop-in replacement for direct
-/// LoadDatasetCsv calls, accepting any registered spec.
+/// OpenDataSource + Materialize, accepting any registered spec. A CSV is
+/// read in one pass by LoadDatasetCsv (the same rows accepted, the same
+/// errors) instead of through the streaming CSV source's two.
 StatusOr<Dataset> LoadDataset(const std::string& spec,
                               const DataSourceConfig& config = {});
 

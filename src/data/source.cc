@@ -7,38 +7,11 @@
 #include <map>
 #include <utility>
 
+#include "data/io.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 
 namespace mcirbm::data {
-
-namespace {
-
-// Shared label-cell validation for text loaders: the value must be a
-// non-negative integer (within 1e-9, matching the historical CSV loader).
-StatusOr<int> ParseLabelValue(double value, const std::string& path,
-                              std::size_t lineno) {
-  const int label = static_cast<int>(std::lround(value));
-  if (std::fabs(value - label) > 1e-9 || label < 0) {
-    return Status::ParseError(path + ":" + std::to_string(lineno) +
-                              ": non-integer label");
-  }
-  return label;
-}
-
-Status CheckFiniteFeatures(const std::vector<double>& row, std::size_t cols,
-                           const std::string& path, std::size_t lineno) {
-  for (std::size_t j = 0; j < cols; ++j) {
-    if (!std::isfinite(row[j])) {
-      return Status::ParseError(path + ":" + std::to_string(lineno) +
-                                ": non-finite feature in column " +
-                                std::to_string(j));
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status DataSource::GatherRows(const std::vector<std::size_t>& /*indices*/,
                               linalg::Matrix* /*x*/,
@@ -134,32 +107,20 @@ class CsvSource final : public DataSource {
   /// One streaming pass: establishes rows/cols/num_classes and rejects
   /// malformed content up front so iteration never surprises consumers.
   Status Open() {
+    LabeledCsvRows checked(path_);
     rows_ = 0;
-    cols_ = 0;
-    int max_label = 0;
     const Status status = ScanCsv(
         path_, /*has_header=*/true, nullptr,
         [&](std::size_t lineno, const std::vector<double>& row) {
-          if (cols_ == 0) {
-            if (row.size() < 2) {
-              return Status::ParseError(
-                  path_ + ":" + std::to_string(lineno) +
-                  ": need >=1 feature column plus a trailing label column");
-            }
-            cols_ = row.size() - 1;
-          }
-          const Status finite =
-              CheckFiniteFeatures(row, cols_, path_, lineno);
-          if (!finite.ok()) return finite;
-          auto label = ParseLabelValue(row[cols_], path_, lineno);
+          auto label = checked.Check(lineno, row);
           if (!label.ok()) return label.status();
-          max_label = std::max(max_label, label.value());
           ++rows_;
           return Status::Ok();
         });
     if (!status.ok()) return status;
     if (rows_ == 0) return Status::ParseError(path_ + ": no data rows");
-    num_classes_ = max_label + 1;
+    cols_ = checked.cols();
+    num_classes_ = checked.num_classes();
     return Status::Ok();
   }
 
@@ -169,6 +130,10 @@ class CsvSource final : public DataSource {
   int num_classes() const override { return num_classes_; }
   bool SupportsRandomAccess() const override { return false; }
 
+  /// Re-streams the file, checking every row again. A file that no longer
+  /// has the shape Open saw (a row of another width, more rows, fewer
+  /// rows, or a label past num_classes()) fails with kParseError rather
+  /// than overrun the chunk buffer or come back padded.
   Status ForEachChunk(
       const std::function<Status(const ChunkSpec&)>& fn) override {
     const std::size_t step =
@@ -177,6 +142,7 @@ class CsvSource final : public DataSource {
     buf_labels_.resize(step);
     std::size_t filled = 0;
     std::size_t emitted = 0;
+    std::size_t last_line = 0;
     const auto emit = [&]() -> Status {
       ChunkSpec chunk;
       chunk.row_begin = emitted;
@@ -188,13 +154,21 @@ class CsvSource final : public DataSource {
       filled = 0;
       return fn(chunk);
     };
+    const auto changed = [this](std::size_t lineno) {
+      return Status::ParseError(path_ + ":" + std::to_string(lineno) +
+                                ": file changed since it was opened");
+    };
+    LabeledCsvRows checked(path_);
     const Status status = ScanCsv(
         path_, /*has_header=*/true, nullptr,
         [&](std::size_t lineno, const std::vector<double>& row) {
-          // Open() already validated; re-check the label defensively in
-          // case the file changed between passes.
-          auto label = ParseLabelValue(row[cols_], path_, lineno);
+          last_line = lineno;
+          if (row.size() != cols_ + 1 || emitted + filled == rows_) {
+            return changed(lineno);
+          }
+          auto label = checked.Check(lineno, row);
           if (!label.ok()) return label.status();
+          if (label.value() >= num_classes_) return changed(lineno);
           std::memcpy(buf_x_.data() + filled * cols_, row.data(),
                       cols_ * sizeof(double));
           buf_labels_[filled] = label.value();
@@ -202,6 +176,7 @@ class CsvSource final : public DataSource {
           return Status::Ok();
         });
     if (!status.ok()) return status;
+    if (emitted + filled != rows_) return changed(last_line + 1);
     if (filled > 0) return emit();
     return Status::Ok();
   }

@@ -12,6 +12,8 @@
 // loaders.h for the string-spec registry that opens any of them):
 //   - in-memory  — wraps an existing Dataset; chunks are zero-copy views.
 //   - csv        — streams through util ScanCsv; one bounded chunk buffer.
+//                  (LoadDataset materializes a CSV in one pass through
+//                  LoadDatasetCsv instead.)
 //   - libsvm     — sparse text rows densified at load (materializing).
 //   - binary     — mcirbm-data v1 via mmap; zero-copy chunks and O(1)
 //                  random row access (the out-of-core training backend).
@@ -101,7 +103,10 @@ StatusOr<std::unique_ptr<DataSource>> MakeInMemorySource(
 /// Streaming CSV source (SaveDatasetCsv layout: header + trailing integer
 /// label column). Open performs one bounded-memory validation pass to
 /// establish the shape and class count; each ForEachChunk re-streams the
-/// file through a single chunk-sized buffer. No random access.
+/// file through a single chunk-sized buffer, and fails with kParseError
+/// ("file changed since it was opened") if the file no longer has the
+/// shape Open saw. Rows are checked by LabeledCsvRows (io.h), as in
+/// LoadDatasetCsv. No random access.
 StatusOr<std::unique_ptr<DataSource>> OpenCsvSource(
     const std::string& path, const std::string& name,
     const DataSourceConfig& config);

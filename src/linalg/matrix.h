@@ -65,7 +65,8 @@ class Matrix {
   /// Sets every element to `value`.
   void Fill(double value);
 
-  /// Resizes to rows x cols, zeroing all content.
+  /// Resizes to rows x cols, zeroing all content. Keeps the storage (no
+  /// allocation) when it already holds rows x cols elements or more.
   void Resize(std::size_t rows, std::size_t cols);
 
   /// Appends one row; on an empty matrix the row fixes cols(), afterwards

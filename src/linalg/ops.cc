@@ -293,10 +293,16 @@ ScopedGemmKernel::~ScopedGemmKernel() { g_scoped_set.store(nullptr); }
 
 }  // namespace internal
 
-Matrix Gemm(const Matrix& a, const Matrix& b) {
+void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   MCIRBM_CHECK_EQ(a.cols(), b.rows()) << "Gemm shape mismatch";
-  Matrix c(a.rows(), b.cols());
-  GemmCore(a.rows(), b.cols(), a.cols(), 1.0, AsIs(a), AsIs(b), c.data());
+  MCIRBM_CHECK(c != &a && c != &b) << "Gemm output aliases an operand";
+  c->Resize(a.rows(), b.cols());
+  GemmCore(a.rows(), b.cols(), a.cols(), 1.0, AsIs(a), AsIs(b), c->data());
+}
+
+Matrix Gemm(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  Gemm(a, b, &c);
   return c;
 }
 
@@ -308,11 +314,17 @@ Matrix GemmTransA(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix GemmTransB(const Matrix& a, const Matrix& b) {
+void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c) {
   MCIRBM_CHECK_EQ(a.cols(), b.cols()) << "GemmTransB shape mismatch";
-  Matrix c(a.rows(), b.rows());
+  MCIRBM_CHECK(c != &a && c != &b) << "GemmTransB output aliases an operand";
+  c->Resize(a.rows(), b.rows());
   GemmCore(a.rows(), b.rows(), a.cols(), 1.0, AsIs(a), TransposeView(b),
-           c.data());
+           c->data());
+}
+
+Matrix GemmTransB(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  GemmTransB(a, b, &c);
   return c;
 }
 

@@ -30,11 +30,19 @@ namespace mcirbm::linalg {
 /// C = A·B. Shapes: (m,k)·(k,n) -> (m,n).
 Matrix Gemm(const Matrix& a, const Matrix& b);
 
+/// *c = A·B, the output-parameter form: `c` is resized to (m,n) and
+/// zeroed, reusing its storage when it is large enough, so a loop that
+/// calls it with the same `c` allocates once. `c` must not be `a` or `b`.
+void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
+
 /// C = Aᵀ·B. Shapes: (k,m)ᵀ·(k,n) -> (m,n).
 Matrix GemmTransA(const Matrix& a, const Matrix& b);
 
 /// C = A·Bᵀ. Shapes: (m,k)·(n,k)ᵀ -> (m,n).
 Matrix GemmTransB(const Matrix& a, const Matrix& b);
+
+/// *c = A·Bᵀ, the output-parameter form (as Gemm's above).
+void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// out += alpha · Aᵀ·B (accumulating version used by gradient code).
 void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,

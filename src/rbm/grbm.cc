@@ -4,11 +4,11 @@
 
 namespace mcirbm::rbm {
 
-linalg::Matrix Grbm::ReconstructVisible(const linalg::Matrix& h) const {
+void Grbm::ReconstructVisible(const linalg::Matrix& h,
+                              linalg::Matrix* v) const {
   // E[v|h] = a + h·Wᵀ  (Eq. 5 with unit variance, noise-free).
-  linalg::Matrix v = linalg::GemmTransB(h, w_);
-  linalg::AddRowVector(&v, a_);
-  return v;
+  linalg::GemmTransB(h, w_, v);
+  linalg::AddRowVector(v, a_);
 }
 
 double Grbm::VisibleFreeEnergyTerm(std::span<const double> v) const {

@@ -19,7 +19,8 @@ class Grbm : public RbmBase {
   std::string name() const override { return "grbm"; }
 
  protected:
-  linalg::Matrix ReconstructVisible(const linalg::Matrix& h) const override;
+  void ReconstructVisible(const linalg::Matrix& h,
+                          linalg::Matrix* v) const override;
 
   /// Gaussian (unit variance) visible part: ½ Σ_i (v_i − a_i)².
   double VisibleFreeEnergyTerm(std::span<const double> v) const override;

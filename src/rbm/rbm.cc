@@ -4,12 +4,12 @@
 
 namespace mcirbm::rbm {
 
-linalg::Matrix Rbm::ReconstructVisible(const linalg::Matrix& h) const {
+void Rbm::ReconstructVisible(const linalg::Matrix& h,
+                             linalg::Matrix* v) const {
   // p(v=1|h) = σ(a + h·Wᵀ)  (Eq. 3).
-  linalg::Matrix v = linalg::GemmTransB(h, w_);
-  linalg::AddRowVector(&v, a_);
-  linalg::SigmoidInPlace(&v);
-  return v;
+  linalg::GemmTransB(h, w_, v);
+  linalg::AddRowVector(v, a_);
+  linalg::SigmoidInPlace(v);
 }
 
 double Rbm::VisibleFreeEnergyTerm(std::span<const double> v) const {

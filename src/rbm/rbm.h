@@ -15,7 +15,8 @@ class Rbm : public RbmBase {
   std::string name() const override { return "rbm"; }
 
  protected:
-  linalg::Matrix ReconstructVisible(const linalg::Matrix& h) const override;
+  void ReconstructVisible(const linalg::Matrix& h,
+                          linalg::Matrix* v) const override;
 
   /// Binary visible part: −a·v.
   double VisibleFreeEnergyTerm(std::span<const double> v) const override;

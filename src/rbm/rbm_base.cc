@@ -111,15 +111,23 @@ void RbmBase::InitParameters() {
 }
 
 linalg::Matrix RbmBase::HiddenFeatures(const linalg::Matrix& v) const {
-  MCIRBM_CHECK_EQ(v.cols(), w_.rows());
-  linalg::Matrix h = linalg::Gemm(v, w_);
-  linalg::AddRowVector(&h, b_);
-  linalg::SigmoidInPlace(&h);
+  linalg::Matrix h;
+  HiddenFeatures(v, &h);
   return h;
 }
 
+void RbmBase::HiddenFeatures(const linalg::Matrix& v,
+                             linalg::Matrix* h) const {
+  MCIRBM_CHECK_EQ(v.cols(), w_.rows());
+  linalg::Gemm(v, w_, h);
+  linalg::AddRowVector(h, b_);
+  linalg::SigmoidInPlace(h);
+}
+
 linalg::Matrix RbmBase::Reconstruct(const linalg::Matrix& v) const {
-  return ReconstructVisible(HiddenFeatures(v));
+  linalg::Matrix r;
+  ReconstructVisible(HiddenFeatures(v), &r);
+  return r;
 }
 
 linalg::Matrix RbmBase::GibbsStep(const linalg::Matrix& v,
@@ -129,7 +137,9 @@ linalg::Matrix RbmBase::GibbsStep(const linalg::Matrix& v,
     MCIRBM_CHECK_NE(rng, nullptr) << "sampled Gibbs step needs an Rng";
     SampleBernoulliInPlace(&h, rng);
   }
-  return ReconstructVisible(h);
+  linalg::Matrix next;
+  ReconstructVisible(h, &next);
+  return next;
 }
 
 double RbmBase::ReconstructionError(const linalg::Matrix& v) const {
@@ -308,6 +318,11 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainFromSource(
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
 
+  // The batch buffers, allocated by the first batch and refilled in place
+  // by every later one (the Gemm/GatherRows output forms keep storage).
+  linalg::Matrix v, h_data, h_states, v_recon, h_recon;
+  linalg::Matrix h_chain, h_sample;  // PCD only
+
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(&order);
     double epoch_err = 0;
@@ -330,7 +345,6 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainFromSource(
     }
 
     for (const std::vector<std::size_t>& idx : epoch_batches) {
-      linalg::Matrix v;
       const Status gather_status = prefetcher != nullptr
                                        ? prefetcher->Take(&v)
                                        : source.GatherRows(idx, &v);
@@ -338,42 +352,41 @@ StatusOr<std::vector<EpochStats>> RbmBase::TrainFromSource(
       const std::size_t m = v.rows();
 
       // Positive phase: h probs driven by data (Eq. 2).
-      const linalg::Matrix h_data = HiddenFeatures(v);
+      HiddenFeatures(v, &h_data);
 
       // Gibbs chain: CD-k (k=1 in the paper's experiments). The one-step
       // reconstruction of the batch is always computed — it feeds the
       // supervision hook (Lrecon is defined on reconstructed data) and
       // the telemetry — even when PCD supplies the negative phase.
-      linalg::Matrix h_states = h_data;
+      h_states = h_data;
       if (config_.sample_hidden_states) {
         draw_hidden_states(&h_states);
       }
-      linalg::Matrix v_recon = ReconstructVisible(h_states);
-      linalg::Matrix h_recon = HiddenFeatures(v_recon);
+      ReconstructVisible(h_states, &v_recon);
+      HiddenFeatures(v_recon, &h_recon);
       for (int k = 1; k < config_.cd_k && !pcd; ++k) {
         h_states = h_recon;
         if (config_.sample_hidden_states) {
           draw_hidden_states(&h_states);
         }
-        v_recon = ReconstructVisible(h_states);
-        h_recon = HiddenFeatures(v_recon);
+        ReconstructVisible(h_states, &v_recon);
+        HiddenFeatures(v_recon, &h_recon);
       }
 
       // Negative phase: batch reconstruction (CD) or persistent fantasy
       // particles advanced k Gibbs steps (PCD).
       const linalg::Matrix* v_neg = &v_recon;
       const linalg::Matrix* h_neg = &h_recon;
-      linalg::Matrix h_chain;
       if (pcd) {
         for (int k = 0; k < config_.cd_k; ++k) {
-          h_chain = HiddenFeatures(chains);
-          linalg::Matrix h_sample = h_chain;
+          HiddenFeatures(chains, &h_chain);
+          h_sample = h_chain;
           if (config_.sample_hidden_states) {
             draw_hidden_states(&h_sample);
           }
-          chains = ReconstructVisible(h_sample);
+          ReconstructVisible(h_sample, &chains);
         }
-        h_chain = HiddenFeatures(chains);
+        HiddenFeatures(chains, &h_chain);
         v_neg = &chains;
         h_neg = &h_chain;
       }

@@ -78,6 +78,10 @@ class RbmBase {
   /// representation consumed by downstream clustering.
   linalg::Matrix HiddenFeatures(const linalg::Matrix& v) const;
 
+  /// In-place form: overwrites `*h` (resized, reusing its storage) with
+  /// HiddenFeatures(v). `h` must not be `v`.
+  void HiddenFeatures(const linalg::Matrix& v, linalg::Matrix* h) const;
+
   /// One full reconstruction pass: v -> h probs -> visible reconstruction.
   linalg::Matrix Reconstruct(const linalg::Matrix& v) const;
 
@@ -112,9 +116,10 @@ class RbmBase {
 
  protected:
   /// Visible-layer reconstruction from hidden activations `h` (probs or
-  /// sampled states, per config). RBM: σ(a + h·Wᵀ); GRBM: a + h·Wᵀ.
-  virtual linalg::Matrix ReconstructVisible(const linalg::Matrix& h) const
-      = 0;
+  /// sampled states, per config) into `*v` (resized, reusing its storage).
+  /// RBM: σ(a + h·Wᵀ); GRBM: a + h·Wᵀ.
+  virtual void ReconstructVisible(const linalg::Matrix& h,
+                                  linalg::Matrix* v) const = 0;
 
   /// Visible part of the free energy for one row (the hidden part is
   /// shared and computed by FreeEnergy).

@@ -1,11 +1,11 @@
 #include "rbm/serialize.h"
 
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "rbm/grbm.h"
 #include "rbm/rbm.h"
+#include "util/string_util.h"
 
 namespace mcirbm::rbm {
 
@@ -15,18 +15,33 @@ Status SaveParameters(const RbmBase& model, std::ostream& out) {
   out << kRbmMagic << "\n" << model.name() << "\n";
   const auto& w = model.weights();
   out << w.rows() << " " << w.cols() << "\n";
-  out << std::setprecision(17);
-  out << "a:";
-  for (double v : model.visible_bias()) out << " " << v;
-  out << "\nb:";
-  for (double v : model.hidden_bias()) out << " " << v;
-  out << "\nW:\n";
+  // Each line is formatted into one reused buffer, doubles as %.17g.
+  std::string line;
+  const auto write_line = [&out, &line] {
+    line.push_back('\n');
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    line.clear();
+  };
+  line = "a:";
+  for (double v : model.visible_bias()) {
+    line.push_back(' ');
+    AppendRoundTripDouble(v, &line);
+  }
+  write_line();
+  line = "b:";
+  for (double v : model.hidden_bias()) {
+    line.push_back(' ');
+    AppendRoundTripDouble(v, &line);
+  }
+  write_line();
+  line = "W:";
+  write_line();
   for (std::size_t r = 0; r < w.rows(); ++r) {
     for (std::size_t c = 0; c < w.cols(); ++c) {
-      if (c) out << " ";
-      out << w(r, c);
+      if (c) line.push_back(' ');
+      AppendRoundTripDouble(w(r, c), &line);
     }
-    out << "\n";
+    write_line();
   }
   if (!out) return Status::IoError("parameter write failed");
   return Status::Ok();

@@ -10,6 +10,7 @@
 #ifndef MCIRBM_RBM_TRAINING_SOURCE_H_
 #define MCIRBM_RBM_TRAINING_SOURCE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -41,9 +42,8 @@ class TrainingDataSource {
   virtual const linalg::Matrix* DenseView() const { return nullptr; }
 };
 
-/// Zero-copy adapter over an in-memory matrix; gathers via SelectRows so
-/// Train(matrix) and TrainFromSource(MatrixTrainingSource(matrix)) are the
-/// same computation.
+/// Zero-copy adapter over an in-memory matrix, so Train(matrix) and
+/// TrainFromSource(MatrixTrainingSource(matrix)) are the same computation.
 class MatrixTrainingSource final : public TrainingDataSource {
  public:
   explicit MatrixTrainingSource(const linalg::Matrix& x) : x_(x) {}
@@ -59,7 +59,13 @@ class MatrixTrainingSource final : public TrainingDataSource {
                                        " out of range");
       }
     }
-    *out = x_.SelectRows(indices);
+    // Into *out's own storage, which a trainer refilling one batch buffer
+    // keeps from batch to batch.
+    const std::size_t d = x_.cols();
+    out->Resize(indices.size(), d);
+    for (std::size_t r = 0; r < indices.size(); ++r) {
+      std::copy_n(x_.data() + indices[r] * d, d, out->data() + r * d);
+    }
     return Status::Ok();
   }
 

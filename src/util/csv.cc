@@ -1,6 +1,10 @@
 #include "util/csv.h"
 
-#include <iomanip>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <string_view>
+#include <system_error>
 
 #include "util/string_util.h"
 
@@ -10,11 +14,40 @@ namespace {
 
 // Strips one pair of surrounding double quotes ("f0" -> f0). Quotes must
 // enclose the whole trimmed cell; embedded commas are not supported.
-std::string UnquoteCell(const std::string& cell) {
+std::string_view UnquoteCell(std::string_view cell) {
   if (cell.size() >= 2 && cell.front() == '"' && cell.back() == '"') {
     return cell.substr(1, cell.size() - 2);
   }
   return cell;
+}
+
+// Calls fn(cell) on each comma-separated cell of `line`, in order, until
+// it returns false; returns whether every call returned true.
+template <typename Fn>
+bool ForEachCell(std::string_view line, Fn fn) {
+  for (;;) {
+    const std::size_t comma = line.find(',');
+    if (!fn(line.substr(0, comma))) return false;
+    if (comma == std::string_view::npos) return true;
+    line.remove_prefix(comma + 1);
+  }
+}
+
+// Reads one cell. std::from_chars takes the common case without building
+// a string. A cell it does not consume whole into a finite value (a
+// leading '+', hex, blanks inside quotes, a value out of range, inf, nan,
+// garbage) goes to ParseDouble's strtod, so the cells accepted and every
+// bit read are strtod's.
+bool ParseCell(std::string_view cell, double* out) {
+  cell = UnquoteCell(TrimView(cell));
+  double v = 0;
+  const char* end = cell.data() + cell.size();
+  const std::from_chars_result result = std::from_chars(cell.data(), end, v);
+  if (result.ec == std::errc() && result.ptr == end && std::isfinite(v)) {
+    *out = v;
+    return true;
+  }
+  return ParseDouble(std::string(cell), out);
 }
 
 }  // namespace
@@ -33,31 +66,45 @@ Status ScanCsv(
   std::vector<double> row;
   while (std::getline(in, line)) {
     ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (Trim(line).empty()) continue;
-    const std::vector<std::string> cells = Split(line, ',');
+    std::string_view text = line;
+    if (!text.empty() && text.back() == '\r') text.remove_suffix(1);
+    if (TrimView(text).empty()) continue;
+    // The width is checked before any cell is parsed, so a row that is
+    // both short and non-numeric reports as ragged.
+    const std::size_t cells =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), ',')) +
+        1;
     if (header_pending) {
       header_pending = false;
       if (header != nullptr) {
-        for (const auto& c : cells) header->push_back(UnquoteCell(Trim(c)));
+        ForEachCell(text, [header](std::string_view cell) {
+          header->emplace_back(UnquoteCell(TrimView(cell)));
+          return true;
+        });
       }
-      width = cells.size();
+      width = cells;
       continue;
     }
-    if (width == 0) width = cells.size();
-    if (cells.size() != width) {
+    if (width == 0) width = cells;
+    if (cells != width) {
       return Status::ParseError(path + ":" + std::to_string(lineno) +
                                 ": ragged row");
     }
     row.clear();
-    row.reserve(cells.size());
-    for (const auto& c : cells) {
-      double v;
-      if (!ParseDouble(UnquoteCell(Trim(c)), &v)) {
-        return Status::ParseError(path + ":" + std::to_string(lineno) +
-                                  ": non-numeric cell '" + c + "'");
+    std::string_view bad;
+    const bool numeric = ForEachCell(text, [&](std::string_view cell) {
+      double v = 0;
+      if (!ParseCell(cell, &v)) {
+        bad = cell;
+        return false;
       }
       row.push_back(v);
+      return true;
+    });
+    if (!numeric) {
+      return Status::ParseError(path + ":" + std::to_string(lineno) +
+                                ": non-numeric cell '" + std::string(bad) +
+                                "'");
     }
     const Status status = on_row(lineno, row);
     if (!status.ok()) return status;
@@ -82,17 +129,18 @@ Status CsvWriter::Open(const std::string& path,
   path_ = path;
   out_.open(path);
   if (!out_) return Status::IoError("cannot open " + path + " for writing");
-  out_ << std::setprecision(17);  // lossless double round-trip
   if (!header.empty()) out_ << Join(header, ",") << "\n";
   return Status::Ok();
 }
 
 Status CsvWriter::WriteRow(std::span<const double> row) {
+  line_.clear();
   for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << row[i];
+    if (i > 0) line_.push_back(',');
+    AppendRoundTripDouble(row[i], &line_);
   }
-  out_ << "\n";
+  line_.push_back('\n');
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   if (!out_) return Status::IoError("write failed for " + path_);
   return Status::Ok();
 }

@@ -4,7 +4,10 @@
 // blank lines (including a trailing one) are skipped, and any cell may be
 // wrapped in double quotes (stripped after trimming; embedded commas are
 // not supported). Ragged rows and non-numeric cells fail with kParseError
-// naming `path:lineno`.
+// naming `path:lineno`. A cell is read by std::from_chars, falling back to
+// strtod for anything from_chars does not read whole into a finite value,
+// so the cells accepted and the bits read are strtod's. Writers format
+// every double as printf("%.17g") does (AppendRoundTripDouble).
 #ifndef MCIRBM_UTIL_CSV_H_
 #define MCIRBM_UTIL_CSV_H_
 
@@ -39,8 +42,8 @@ Status ScanCsv(
 StatusOr<CsvTable> ReadCsv(const std::string& path, bool has_header);
 
 /// Streaming CSV row sink. Writes the exact same bytes as WriteCsv
-/// (setprecision(17) doubles, '\n' line ends), so chunked exports are
-/// byte-identical to materialized ones.
+/// (%.17g doubles, '\n' line ends), so chunked exports are byte-identical
+/// to materialized ones.
 class CsvWriter {
  public:
   CsvWriter() = default;
@@ -60,6 +63,7 @@ class CsvWriter {
  private:
   std::ofstream out_;
   std::string path_;
+  std::string line_;  ///< one formatted row, reused across WriteRow calls
 };
 
 /// Writes a numeric CSV file; `header` may be empty to omit the header line.

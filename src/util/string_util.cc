@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,7 +35,9 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string Trim(const std::string& s) {
+std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
+
+std::string_view TrimView(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
@@ -51,6 +54,16 @@ std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
   return buf;
+}
+
+void AppendRoundTripDouble(double v, std::string* out) {
+  // to_chars in general format at a given precision is specified as
+  // printf's %.*g in the C locale; 32 bytes hold the longest such form
+  // ("-2.2250738585072014e-308" is 24).
+  char buf[32];
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, result.ptr);
 }
 
 std::string PadLeft(const std::string& s, int w) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -20,11 +21,20 @@ std::string Join(const std::vector<std::string>& parts,
 /// Strips ASCII whitespace from both ends.
 std::string Trim(const std::string& s);
 
+/// Trim without a copy: the view of `s` between its end blanks.
+std::string_view TrimView(std::string_view s);
+
 /// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// Formats a double with `digits` digits after the decimal point.
 std::string FormatDouble(double v, int digits);
+
+/// Appends `v` to `out` in the bytes printf("%.17g") writes for it:
+/// 17 significant digits, enough to read every double back exactly, and
+/// "inf", "-inf", "nan", "-nan" for the non-finite values. The CSV and
+/// model writers format every double through it.
+void AppendRoundTripDouble(double v, std::string* out);
 
 /// Left-pads (or passes through) `s` to width `w` with spaces.
 std::string PadLeft(const std::string& s, int w);

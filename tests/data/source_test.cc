@@ -1,7 +1,7 @@
 // The streaming DataSource layer: chunked iteration, random access,
 // format round-trips (csv <-> mcirbm-data binary), the libsvm loader, and
 // the string-spec loader registry. The round-trip tests compare *bytes*,
-// not values — the binary artifact and the CSV writer's setprecision(17)
+// not values — the binary artifact and the CSV writer's %.17g cells
 // make csv -> binary -> csv reproduce the original file exactly.
 #include "data/source.h"
 
@@ -273,6 +273,113 @@ TEST_F(DataSourceTest, EmptyCsvFails) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("no data rows"),
             std::string::npos);
+}
+
+TEST_F(DataSourceTest, CsvNonFiniteLabelIsNonIntegerLabel) {
+  for (const char* label : {"nan", "-nan", "inf"}) {
+    SCOPED_TRACE(label);
+    std::ofstream out(csv_path_);
+    out << "f0,label\n1.0,0\n2.0," << label << "\n3.0,1\n";
+    out.close();
+    auto loaded = LoadDataset(csv_path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(csv_path_ +
+                                             ":3: non-integer label"),
+              std::string::npos)
+        << loaded.status().message();
+    auto source = OpenCsvSource(csv_path_, "label", {});
+    ASSERT_FALSE(source.ok());
+    EXPECT_EQ(source.status().code(), StatusCode::kParseError);
+    EXPECT_NE(source.status().message().find(csv_path_ +
+                                             ":3: non-integer label"),
+              std::string::npos)
+        << source.status().message();
+  }
+}
+
+// A NaN feature fails in the row check, naming its line, on both readers.
+TEST_F(DataSourceTest, CsvNanFeatureNamesFileAndLine) {
+  std::ofstream out(csv_path_);
+  out << "f0,f1,label\n1.0,2.0,0\n1.0,nan,1\n";
+  out.close();
+  auto loaded = LoadDatasetCsv(csv_path_, "nan");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find(
+                csv_path_ + ":3: non-finite feature in column 1"),
+            std::string::npos)
+      << loaded.status().message();
+}
+
+// --- A CSV that changes after OpenCsvSource --------------------------------
+
+// Writes `rows` rows of `features` feature columns plus a label column.
+void WriteLabeledCsv(const std::string& path, int rows, int features) {
+  std::ofstream out(path);
+  for (int j = 0; j < features; ++j) out << "f" << j << ",";
+  out << "label\n";
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < features; ++j) out << i + 0.25 * j << ",";
+    out << i % 2 << "\n";
+  }
+}
+
+// Each case rewrites a 4-row, 3-feature file after Open; `line` is the
+// line the error names.
+struct ChangedCsv {
+  const char* what;
+  int rows;
+  int features;
+  int line;
+};
+
+const ChangedCsv kChangedCsvs[] = {
+    {"grown to 1000 rows", 1000, 3, 6},  // row 5 of 4, on line 6
+    {"narrower", 4, 2, 2},               // the first row's width
+    {"shrunk to 3 rows", 3, 3, 5},       // the scan ends at line 4
+};
+
+void ExpectChanged(const Status& status, const std::string& path, int line) {
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find(path + ":" + std::to_string(line) +
+                                  ": file changed since it was opened"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST_F(DataSourceTest, CsvChangedAfterOpenFailsMaterialize) {
+  for (const ChangedCsv& change : kChangedCsvs) {
+    SCOPED_TRACE(change.what);
+    WriteLabeledCsv(csv_path_, 4, 3);
+    auto source = OpenCsvSource(csv_path_, "changed", {});
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    WriteLabeledCsv(csv_path_, change.rows, change.features);
+    ExpectChanged(source.value()->Materialize().status(), csv_path_,
+                  change.line);
+  }
+}
+
+TEST_F(DataSourceTest, CsvChangedAfterOpenFailsBoundedChunks) {
+  DataSourceConfig config;
+  config.max_resident_rows = 2;
+  for (const ChangedCsv& change : kChangedCsvs) {
+    SCOPED_TRACE(change.what);
+    WriteLabeledCsv(csv_path_, 4, 3);
+    auto source = OpenCsvSource(csv_path_, "changed", config);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    WriteLabeledCsv(csv_path_, change.rows, change.features);
+    // Every chunk delivered before the error lies inside the opened shape.
+    const Status status =
+        source.value()->ForEachChunk([&](const ChunkSpec& chunk) {
+          EXPECT_LE(chunk.rows, 2u);
+          EXPECT_LE(chunk.row_begin + chunk.rows, 4u);
+          EXPECT_EQ(chunk.cols, 3u);
+          return Status::Ok();
+        });
+    ExpectChanged(status, csv_path_, change.line);
+  }
 }
 
 // --- Binary corruption ---------------------------------------------------

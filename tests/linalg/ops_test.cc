@@ -104,6 +104,27 @@ TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
   EXPECT_TRUE(BitIdentical(GemmTransB(a, b), NaiveGemm(a, b.Transposed())));
 }
 
+// The output-parameter forms resize and overwrite `c`: into a NaN-filled
+// matrix of another shape they write the value forms' bytes.
+TEST_P(GemmShapeTest, OutputFormsMatchValueForms) {
+  const auto [m, k, n] = std::get<1>(GetParam());
+  rng::Rng rng(5000 + m * 97 + k * 13 + n);
+  const Matrix a = RandomMatrix(m, k, &rng);
+  const Matrix b = RandomMatrix(k, n, &rng);
+  const Matrix bt = RandomMatrix(n, k, &rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix c(m + 1, n + 2, nan);
+  Gemm(a, b, &c);
+  EXPECT_TRUE(BitIdentical(c, Gemm(a, b)));
+  Matrix ct(n + 2, m + 1, nan);
+  GemmTransB(a, bt, &ct);
+  EXPECT_TRUE(BitIdentical(ct, GemmTransB(a, bt)));
+  // Reused once more at the same shape, as a training loop does.
+  c.Fill(nan);
+  Gemm(a, b, &c);
+  EXPECT_TRUE(BitIdentical(c, Gemm(a, b)));
+}
+
 std::vector<Shape> GemmShapes() {
   std::vector<Shape> shapes = {
       {1, 1, 1}, {3, 5, 2}, {7, 64, 9}, {65, 3, 64}, {64, 64, 64},
