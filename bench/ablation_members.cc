@@ -40,16 +40,17 @@ void RunDataset(const data::Dataset& full) {
     rows.push_back({"paper trio (unanimous)", base});
 
     core::SupervisionConfig ward = base;
-    ward.use_agglomerative = true;
+    ward.voters.push_back({"agglomerative", {}, 1});
     rows.push_back({"+ agglomerative(Ward)", ward});
 
     core::SupervisionConfig gmm = ward;
-    gmm.use_gmm = true;
+    gmm.voters.push_back({"gmm", {}, 1});
     rows.push_back({"+ GMM", gmm});
 
-    core::SupervisionConfig all = gmm;
-    all.use_dbscan = true;
-    all.use_spectral = true;
+    core::SupervisionConfig all = base;
+    all.voters = core::ParseVoterList(
+                     "dp,kmeans,ap,agglomerative,dbscan,gmm,spectral")
+                     .value();
     rows.push_back({"all 7 (unanimous)", all});
 
     core::SupervisionConfig all_majority = all;

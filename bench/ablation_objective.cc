@@ -2,8 +2,8 @@
 //
 //  * recon term on/off      — Eq. 15's reconstructed-view contribution
 //  * disperse term on/off   — the center-dispersion half of Eq. 14/15
-//  * pair vs Nh norm        — the constrict normalization (see DESIGN.md:
-//                             the literal Eq. 13 form collapses the code)
+//  * pair vs Nh norm        — the constrict normalization (the literal
+//                             Eq. 13 form collapses the code)
 #include "bench_common.h"
 #include <iostream>
 

@@ -43,16 +43,13 @@ void RunDataset(bool grbm, const data::Dataset& full) {
     majority.config.strategy = voting::VoteStrategy::kMajority;
     rows.push_back(majority);
     Row dp_only{"DP alone          ", base};
-    dp_only.config.use_kmeans = false;
-    dp_only.config.use_affinity_propagation = false;
+    dp_only.config.voters = {{"dp", {}, 1}};
     rows.push_back(dp_only);
     Row km_only{"K-means alone     ", base};
-    km_only.config.use_density_peaks = false;
-    km_only.config.use_affinity_propagation = false;
+    km_only.config.voters = {{"kmeans", {}, 1}};
     rows.push_back(km_only);
     Row ap_only{"AP alone          ", base};
-    ap_only.config.use_density_peaks = false;
-    ap_only.config.use_kmeans = false;
+    ap_only.config.voters = {{"ap", {}, 1}};
     rows.push_back(ap_only);
   }
 

@@ -17,11 +17,6 @@ long EnvLong(const char* name, long fallback) {
   return value != nullptr ? std::atol(value) : fallback;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atof(value) : fallback;
-}
-
 std::vector<std::string>& MutableDataSpecs() {
   static std::vector<std::string> specs;
   return specs;
@@ -78,24 +73,6 @@ eval::ExperimentConfig MakeBenchConfig(bool grbm_family) {
     config.max_instances =
         static_cast<std::size_t>(EnvLong("MCIRBM_BENCH_MAX_N", 250));
   }
-  config.sls.supervision_scale =
-      EnvDouble("MCIRBM_SLS_SCALE", config.sls.supervision_scale);
-  config.sls.disperse_weight =
-      EnvDouble("MCIRBM_SLS_DW", config.sls.disperse_weight);
-  config.supervision.kmeans_voters = static_cast<int>(
-      EnvLong("MCIRBM_SUP_KM_VOTERS", config.supervision.kmeans_voters));
-  config.sls.max_grad_norm =
-      EnvDouble("MCIRBM_SLS_CAP", config.sls.max_grad_norm);
-  config.rbm.epochs =
-      static_cast<int>(EnvLong("MCIRBM_BENCH_EPOCHS", config.rbm.epochs));
-  config.supervision_cluster_factor = EnvDouble(
-      "MCIRBM_SUP_FACTOR", config.supervision_cluster_factor);
-  config.rbm.num_hidden = static_cast<int>(
-      EnvLong("MCIRBM_BENCH_HIDDEN", config.rbm.num_hidden));
-  config.rbm.sample_hidden_states =
-      EnvLong("MCIRBM_BENCH_SAMPLE_H", config.rbm.sample_hidden_states ? 1
-                                                                       : 0)
-      != 0;
   config.data_specs = BenchDataSpecs();
   return config;
 }

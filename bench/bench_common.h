@@ -5,7 +5,6 @@
 //   MCIRBM_BENCH_MAX_N=<int>   instance cap in fast mode (default 250)
 //   MCIRBM_BENCH_REPEATS=<int> repeats per dataset (default 3)
 //   MCIRBM_BENCH_SEED=<int>    experiment seed (default 7)
-//   MCIRBM_SLS_SCALE=<float>   override SlsConfig::supervision_scale
 //
 // Every bench also accepts repeatable `--data <spec>` flags (loader specs
 // from data/loaders.h — paths or csv:|bin:|libsvm:|synth: forms). When

@@ -41,16 +41,13 @@ int main(int argc, char** argv) {
   data::StandardizeInPlace(&x);
 
   // Calibrated paper hyper-parameters (the same ones the bench harness
-  // uses; see eval::MakePaperConfig and EXPERIMENTS.md).
+  // uses; see eval::MakePaperConfig).
   const eval::ExperimentConfig paper = eval::MakePaperConfig(true);
 
   // Stage 1-2: multi-clustering integration on the visible layer, with
-  // the voters expressed as registry specs ("dp", "kmeans"×3, "ap").
+  // the paper's voters as registry specs ("dp", "kmeans"×3, "ap").
   core::SupervisionConfig sup_cfg = paper.supervision;
   sup_cfg.num_clusters = ds.num_classes;
-  sup_cfg.voters = {{"dp", {}, 1},
-                    {"kmeans", {}, paper.supervision.kmeans_voters},
-                    {"ap", {}, 1}};
   auto supervision_or = core::TryComputeSelfLearningSupervision(x, sup_cfg, 3);
   if (!supervision_or.ok()) {
     std::cerr << "supervision failed: "

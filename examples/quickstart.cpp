@@ -25,8 +25,9 @@ int main() {
   data::StandardizeInPlace(&x);
 
   // 3. Configure and train the encoder (slsGRBM) with the calibrated
-  //    paper hyper-parameters (η=0.4, lr=1e-4, Section V.B; width/epochs/
-  //    scale from EXPERIMENTS.md). Everything fallible returns StatusOr.
+  //    paper hyper-parameters (η=0.4, lr=1e-4, Section V.B; width, epochs
+  //    and scale calibrated on the synthetic substrate). Everything
+  //    fallible returns StatusOr.
   const eval::ExperimentConfig paper = eval::MakePaperConfig(true);
   core::PipelineConfig config;
   config.model = core::ModelKind::kSlsGrbm;

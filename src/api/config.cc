@@ -69,6 +69,18 @@ StatusOr<int> ValueAsInt(const ConfigEntry& e) {
   return v.value();
 }
 
+// For the int keys whose 0 means "use the default": a negative value is an
+// error, not a second spelling of that default.
+StatusOr<int> ValueAsNonNegativeInt(const ConfigEntry& e) {
+  int n = 0;
+  MCIRBM_ASSIGN_OR_RETURN(n, ValueAsInt(e));
+  if (n < 0) {
+    return Status::InvalidArgument("line " + std::to_string(e.line) + ": " +
+                                   e.key + " must be non-negative");
+  }
+  return n;
+}
+
 StatusOr<double> ValueAsDouble(const ConfigEntry& e) {
   ParamMap one;
   one.Set(e.key, e.value);
@@ -98,10 +110,10 @@ Status ApplyConfigKey(const ConfigEntry& e, core::PipelineConfig* config) {
     MCIRBM_ASSIGN_OR_RETURN(config->rbm.num_hidden, ValueAsInt(e));
   } else if (key == "rbm.epochs") {
     MCIRBM_ASSIGN_OR_RETURN(config->rbm.epochs, ValueAsInt(e));
-  } else if (key == "rbm.lr" || key == "rbm.learning_rate") {
+  } else if (key == "rbm.learning_rate") {
     MCIRBM_ASSIGN_OR_RETURN(config->rbm.learning_rate, ValueAsDouble(e));
   } else if (key == "rbm.batch_size") {
-    MCIRBM_ASSIGN_OR_RETURN(config->rbm.batch_size, ValueAsInt(e));
+    MCIRBM_ASSIGN_OR_RETURN(config->rbm.batch_size, ValueAsNonNegativeInt(e));
   } else if (key == "rbm.cd_k") {
     MCIRBM_ASSIGN_OR_RETURN(config->rbm.cd_k, ValueAsInt(e));
   } else if (key == "rbm.momentum") {
@@ -139,7 +151,7 @@ Status ApplyConfigKey(const ConfigEntry& e, core::PipelineConfig* config) {
     config->rbm.seed = static_cast<std::uint64_t>(seed);
   } else if (key == "sls.eta") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.eta, ValueAsDouble(e));
-  } else if (key == "sls.scale" || key == "sls.supervision_scale") {
+  } else if (key == "sls.supervision_scale") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.supervision_scale, ValueAsDouble(e));
   } else if (key == "sls.include_recon_term") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.include_recon_term, ValueAsBool(e));
@@ -149,12 +161,11 @@ Status ApplyConfigKey(const ConfigEntry& e, core::PipelineConfig* config) {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.disperse_weight, ValueAsDouble(e));
   } else if (key == "sls.normalize_by_pairs") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.normalize_by_pairs, ValueAsBool(e));
-  } else if (key == "sls.use_fast_gradient") {
-    MCIRBM_ASSIGN_OR_RETURN(config->sls.use_fast_gradient, ValueAsBool(e));
   } else if (key == "sls.max_grad_norm") {
     MCIRBM_ASSIGN_OR_RETURN(config->sls.max_grad_norm, ValueAsDouble(e));
   } else if (key == "supervision.clusters") {
-    MCIRBM_ASSIGN_OR_RETURN(config->supervision.num_clusters, ValueAsInt(e));
+    MCIRBM_ASSIGN_OR_RETURN(config->supervision.num_clusters,
+                            ValueAsNonNegativeInt(e));
   } else if (key == "supervision.strategy") {
     if (e.value == "unanimous") {
       config->supervision.strategy = voting::VoteStrategy::kUnanimous;
@@ -172,7 +183,8 @@ Status ApplyConfigKey(const ConfigEntry& e, core::PipelineConfig* config) {
     if (!voters.ok()) return AtLine(e.line, voters.status());
     config->supervision.voters = std::move(voters).value();
   } else if (key == "parallel.threads") {
-    MCIRBM_ASSIGN_OR_RETURN(config->parallel.num_threads, ValueAsInt(e));
+    MCIRBM_ASSIGN_OR_RETURN(config->parallel.num_threads,
+                            ValueAsNonNegativeInt(e));
   } else if (key == "parallel.deterministic") {
     MCIRBM_ASSIGN_OR_RETURN(config->parallel.deterministic, ValueAsBool(e));
   } else {
@@ -188,34 +200,10 @@ Status ApplySpecKey(const ConfigEntry& e, PipelineSpec* spec) {
   const std::string& key = e.key;
   if (key == "data") {
     spec->data_spec = e.value;
-  } else if (key == "data.path") {
-    spec->data_path = e.value;
-  } else if (key == "data.family") {
-    if (e.value != "msra" && e.value != "uci") {
-      return Status::ParseError("line " + std::to_string(e.line) +
-                                ": data.family must be msra|uci");
-    }
-    spec->data_family = e.value;
-  } else if (key == "data.index") {
-    MCIRBM_ASSIGN_OR_RETURN(spec->data_index, ValueAsInt(e));
   } else if (key == "data.max_resident_rows") {
-    int n = 0;
-    MCIRBM_ASSIGN_OR_RETURN(n, ValueAsInt(e));
-    if (n < 0) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(e.line) +
-          ": data.max_resident_rows must be non-negative");
-    }
-    spec->max_resident_rows = static_cast<std::size_t>(n);
+    MCIRBM_ASSIGN_OR_RETURN(spec->max_resident_rows, ValueAsNonNegativeInt(e));
   } else if (key == "data.max_instances") {
-    int n = 0;
-    MCIRBM_ASSIGN_OR_RETURN(n, ValueAsInt(e));
-    if (n < 0) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(e.line) +
-          ": data.max_instances must be non-negative");
-    }
-    spec->max_instances = static_cast<std::size_t>(n);
+    MCIRBM_ASSIGN_OR_RETURN(spec->max_instances, ValueAsNonNegativeInt(e));
   } else if (key == "data.transform") {
     if (e.value != "auto" && e.value != "none" && e.value != "standardize" &&
         e.value != "minmax" && e.value != "binarize") {
@@ -234,7 +222,7 @@ Status ApplySpecKey(const ConfigEntry& e, PipelineSpec* spec) {
     }
     spec->eval_clusterer = e.value;
   } else if (key == "eval.k") {
-    MCIRBM_ASSIGN_OR_RETURN(spec->eval_k, ValueAsInt(e));
+    MCIRBM_ASSIGN_OR_RETURN(spec->eval_k, ValueAsNonNegativeInt(e));
   } else if (key == "out.model") {
     spec->model_out = e.value;
   } else if (key == "out.features") {
@@ -296,16 +284,8 @@ StatusOr<PipelineSpec> ParsePipelineSpec(const std::string& text) {
     if (!status.ok()) return status;
   }
 
-  const int sources = (spec.data_spec.empty() ? 0 : 1) +
-                      (spec.data_path.empty() ? 0 : 1) +
-                      (spec.data_family.empty() ? 0 : 1);
-  if (sources == 0) {
-    return Status::InvalidArgument(
-        "config must set data, data.path, or data.family");
-  }
-  if (sources > 1) {
-    return Status::InvalidArgument(
-        "data, data.path, and data.family are mutually exclusive");
+  if (spec.data_spec.empty()) {
+    return Status::InvalidArgument("config must set data");
   }
   return spec;
 }
@@ -317,15 +297,6 @@ StatusOr<PipelineSpec> ParsePipelineSpecFile(const std::string& path) {
 }
 
 namespace {
-
-// The loader-registry spec string describing the run's dataset source.
-// The legacy data.family/data.index pair is the spelling of synth specs
-// that predates the registry, so it maps onto one.
-std::string ResolveDataSpec(const PipelineSpec& spec) {
-  if (!spec.data_spec.empty()) return spec.data_spec;
-  if (!spec.data_path.empty()) return spec.data_path;
-  return "synth:" + spec.data_family + ":" + std::to_string(spec.data_index);
-}
 
 // The out-of-core run: training streams minibatches from the source and
 // the feature export streams chunk-by-chunk through the same CsvWriter
@@ -354,7 +325,7 @@ StatusOr<PipelineRunSummary> RunPipelineOutOfCore(const PipelineSpec& spec) {
   data::DataSourceConfig source_config;
   source_config.max_resident_rows = spec.max_resident_rows;
   source_config.synth_seed = spec.seed;
-  auto source_or = data::OpenDataSource(ResolveDataSpec(spec), source_config);
+  auto source_or = data::OpenDataSource(spec.data_spec, source_config);
   if (!source_or.ok()) return source_or.status();
   data::DataSource& source = *source_or.value();
 
@@ -422,10 +393,10 @@ StatusOr<PipelineRunSummary> RunPipeline(const PipelineSpec& spec) {
   if (spec.max_resident_rows > 0) return RunPipelineOutOfCore(spec);
 
   // 1. Dataset — any registered loader spec; synth sources see the run
-  // seed, so data.family runs reproduce the pre-registry datasets exactly.
+  // seed.
   data::DataSourceConfig source_config;
   source_config.synth_seed = spec.seed;
-  auto loaded = data::LoadDataset(ResolveDataSpec(spec), source_config);
+  auto loaded = data::LoadDataset(spec.data_spec, source_config);
   if (!loaded.ok()) return loaded.status();
   data::Dataset dataset = std::move(loaded).value();
   if (spec.max_instances > 0) {

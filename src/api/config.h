@@ -9,25 +9,29 @@
 //
 // Pipeline keys (ParseConfig):
 //   model                       rbm | grbm | sls-rbm | sls-grbm
-//   rbm.hidden rbm.epochs rbm.lr rbm.batch_size rbm.cd_k rbm.momentum
-//   rbm.momentum_final rbm.momentum_switch_epoch rbm.weight_decay
-//   rbm.init_weight_stddev rbm.sample_hidden rbm.persistent_cd
-//   rbm.pcd_chains rbm.sparsity_target rbm.sparsity_cost
+//   rbm.hidden rbm.epochs rbm.learning_rate rbm.batch_size rbm.cd_k
+//   rbm.momentum rbm.momentum_final rbm.momentum_switch_epoch
+//   rbm.weight_decay rbm.init_weight_stddev rbm.sample_hidden
+//   rbm.persistent_cd rbm.pcd_chains rbm.sparsity_target rbm.sparsity_cost
 //   rbm.weight_init (gaussian|pca) rbm.seed
-//   sls.eta sls.scale sls.include_recon_term sls.include_disperse_term
-//   sls.disperse_weight sls.normalize_by_pairs sls.use_fast_gradient
+//   sls.eta sls.supervision_scale sls.include_recon_term
+//   sls.include_disperse_term sls.disperse_weight sls.normalize_by_pairs
 //   sls.max_grad_norm
 //   supervision.clusters supervision.strategy (unanimous|majority)
 //   supervision.min_cluster_size supervision.voters (e.g. "dp,kmeans*3,ap")
 //   parallel.threads parallel.deterministic
 //
 // Additional run keys (ParsePipelineSpec):
-//   data (loader spec: path | csv:p | bin:p | libsvm:p | synth:fam:i[:seed])
-//     | data.path | data.family (msra|uci) + data.index
+//   data (required; loader spec: path | csv:p | bin:p | libsvm:p |
+//     synth:fam:i[:seed])
 //   data.max_resident_rows (out-of-core chunk/memory bound; 0 = in-RAM)
 //   data.max_instances data.transform (auto|none|standardize|minmax|binarize)
 //   eval.clusterer (registry name or "none") eval.k
 //   out.model out.features seed
+//
+// rbm.batch_size, supervision.clusters, parallel.threads, eval.k and the
+// two data.max_* keys take 0 for "use the default"; negative values are
+// rejected.
 #ifndef MCIRBM_API_CONFIG_H_
 #define MCIRBM_API_CONFIG_H_
 
@@ -51,14 +55,9 @@ StatusOr<core::PipelineConfig> ParseConfig(const std::string& text,
 struct PipelineSpec {
   core::PipelineConfig config;
 
-  // Dataset source: exactly one of `data_spec` (a data::DataLoaderRegistry
-  // spec — any path or scheme:rest form), `data_path` (file path, loader
-  // inferred), or `data_family` + `data_index` (paper-equivalent
-  // synthetic; the legacy spelling of data=synth:<family>:<index>).
+  /// Dataset source: a data::DataLoaderRegistry spec (any path or
+  /// scheme:rest form, e.g. synth:<family>:<index>).
   std::string data_spec;
-  std::string data_path;
-  std::string data_family;
-  int data_index = 0;
   /// If > 0, the run is out-of-core: training streams minibatches from
   /// the source and transforms/export run chunk-by-chunk with at most
   /// this many source rows resident. Requires transform=none,

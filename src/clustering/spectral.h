@@ -16,7 +16,9 @@ namespace mcirbm::clustering {
 
 /// Normalized-cut spectral clustering: RBF (or kNN-connectivity) affinity,
 /// symmetric normalized Laplacian, bottom-k eigenvectors (via the Jacobi
-/// solver), row normalization, then k-means in the embedding.
+/// solver), row normalization, then k-means in the embedding. The dense
+/// O(n³) Jacobi eigensolve limits it to datasets of a few hundred
+/// instances.
 class Spectral : public Clusterer {
  public:
   struct Options {

@@ -62,36 +62,17 @@ StatusOr<std::vector<VoterSpec>> ParseVoterList(const std::string& text) {
 
 StatusOr<std::vector<VoterSpec>> ResolveVoterSpecs(
     const SupervisionConfig& config) {
-  if (!config.voters.empty()) {
-    std::vector<VoterSpec> specs = config.voters;
-    for (const VoterSpec& spec : specs) {
-      if (spec.count <= 0) {
-        return Status::InvalidArgument("voter '" + spec.clusterer +
-                                       "': count must be positive");
-      }
-    }
-    return specs;
-  }
-  // Deprecated bool-flag shim, preserved in the historical voter order so
-  // seeds — and therefore results — match the pre-registry pipeline.
-  std::vector<VoterSpec> specs;
-  if (config.use_density_peaks) specs.push_back({"dp", {}, 1});
-  if (config.use_kmeans) {
-    if (config.kmeans_voters <= 0) {
-      return Status::InvalidArgument("kmeans_voters must be positive");
-    }
-    specs.push_back({"kmeans", {}, config.kmeans_voters});
-  }
-  if (config.use_affinity_propagation) specs.push_back({"ap", {}, 1});
-  if (config.use_agglomerative) specs.push_back({"agglomerative", {}, 1});
-  if (config.use_dbscan) specs.push_back({"dbscan", {}, 1});
-  if (config.use_gmm) specs.push_back({"gmm", {}, 1});
-  if (config.use_spectral) specs.push_back({"spectral", {}, 1});
-  if (specs.empty()) {
+  if (config.voters.empty()) {
     return Status::InvalidArgument(
         "at least one base clusterer must be enabled");
   }
-  return specs;
+  for (const VoterSpec& spec : config.voters) {
+    if (spec.count <= 0) {
+      return Status::InvalidArgument("voter '" + spec.clusterer +
+                                     "': count must be positive");
+    }
+  }
+  return config.voters;
 }
 
 StatusOr<voting::LocalSupervision> TryComputeSelfLearningSupervision(

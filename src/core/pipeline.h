@@ -56,36 +56,16 @@ struct SupervisionConfig {
   voting::VoteStrategy strategy = voting::VoteStrategy::kUnanimous;
   int min_cluster_size = 2;
 
-  /// Ordered integration members. When non-empty this list is
-  /// authoritative and the deprecated `use_*` flags below are ignored;
-  /// when empty, the flags are translated into the equivalent specs by
-  /// ResolveVoterSpecs (bit-identical to the historical behavior).
-  std::vector<VoterSpec> voters;
-
-  // --- Deprecated voter toggles. Prefer `voters`; these booleans survive
-  // only as a source-compatibility shim for pre-registry callers and are
-  // consulted solely when `voters` is empty.
-  bool use_density_peaks = true;           ///< deprecated: use `voters`
-  bool use_kmeans = true;                  ///< deprecated: use `voters`
-  bool use_affinity_propagation = true;    ///< deprecated: use `voters`
-  /// Deprecated: number of independently seeded K-means members (>= 1);
-  /// expressed as VoterSpec::count in the registry form.
-  int kmeans_voters = 1;
-  bool use_agglomerative = false;  ///< deprecated: Ward-linkage voter
-  /// Deprecated: self-tuning DBSCAN voter. Its noise points (-1) abstain,
-  /// which the voting layer already treats as "no consensus".
-  bool use_dbscan = false;
-  bool use_gmm = false;       ///< deprecated: diagonal-covariance GMM voter
-  /// Deprecated: normalized-cut spectral voter. O(n³) eigensolve —
-  /// intended for datasets up to a few hundred instances.
-  bool use_spectral = false;
+  /// Ordered integration members; defaults to the paper's DP/K-means/AP
+  /// trio. The first voter's partition is the one the others are aligned
+  /// to, so the order is part of the result.
+  std::vector<VoterSpec> voters = {
+      {"dp", {}, 1}, {"kmeans", {}, 1}, {"ap", {}, 1}};
 };
 
-/// Expands `config` into the ordered voter list the integration will run:
-/// `config.voters` verbatim when non-empty, otherwise the deprecated bool
-/// flags in their historical order (dp, kmeans×kmeans_voters, ap,
-/// agglomerative, dbscan, gmm, spectral). InvalidArgument when the result
-/// would be empty or a count is non-positive.
+/// The ordered voter list the integration will run: `config.voters`,
+/// after checking it is non-empty and every count is positive
+/// (InvalidArgument otherwise).
 StatusOr<std::vector<VoterSpec>> ResolveVoterSpecs(
     const SupervisionConfig& config);
 

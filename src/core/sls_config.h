@@ -56,14 +56,8 @@ struct SlsConfig {
   /// Normalize the constriction sum by the ordered-pair count Σ N_k(N_k−1)
   /// (true, default — keeps constrict and disperse on a comparable
   /// per-pair scale) or by the credible-instance count Nh (false — the
-  /// literal Eq. 13, reproduced for the ablation bench). See DESIGN.md.
+  /// literal Eq. 13, reproduced for the ablation bench).
   bool normalize_by_pairs = true;
-
-  /// Use the O(N·d) algebraically reduced gradient (true) or the literal
-  /// O(N²·d) pairwise form (false). Both produce identical values (see
-  /// tests/core/sls_gradient_test.cc); the naive path exists as the
-  /// executable specification of Eq. 27/28/31/32.
-  bool use_fast_gradient = true;
 
   /// Trust-region cap on the Frobenius norm of the (already scaled)
   /// supervision gradient per update; 0 disables. With the paper's ε-free

@@ -72,11 +72,11 @@ struct SlsGradientOptions {
   /// Σ_k Σ_{s,t∈H_k} pair sum by Nh (the credible-instance count), which
   /// leaves the term ~Nh times larger than the per-pair-normalized center
   /// dispersion; in practice that imbalance collapses the whole hidden
-  /// space onto one point before dispersion can act (see DESIGN.md). With
-  /// `true` (default) the pair sum is divided by Σ_k N_k(N_k−1) — the
-  /// ordered-pair count — making both terms per-pair quantities of
-  /// comparable magnitude. `false` reproduces the literal Eq. 13 for the
-  /// ablation bench.
+  /// space onto one point before dispersion can act. With `true`
+  /// (default) the pair sum is divided by Σ_k N_k(N_k−1) — the ordered-pair
+  /// count — making both terms per-pair quantities of comparable
+  /// magnitude. `false` reproduces the literal Eq. 13 for the ablation
+  /// bench.
   bool normalize_by_pairs = true;
 };
 

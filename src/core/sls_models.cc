@@ -38,15 +38,13 @@ void SlsSupervisionFuser::Accumulate(const rbm::BatchContext& batch,
   // consensus covers nearly every instance).
   rbm::GradientBuffers local(w.rows(), w.cols());
   const SlsGradientOutput out{&local.dw, &local.db};
-  const auto accumulate = config_.use_fast_gradient
-                              ? &AccumulateSlsGradientFast
-                              : &AccumulateSlsGradientNaive;
   // Data view (Eq. 27/31).
-  accumulate(batch.v, batch.h_data, sup, w, b, options, out);
+  AccumulateSlsGradientFast(batch.v, batch.h_data, sup, w, b, options, out);
   // Reconstructed view (Eq. 28/32): same credible clusters, the
   // reconstructed visible rows Ṽ and their hidden features H̃.
   if (config_.include_recon_term) {
-    accumulate(batch.v_recon, batch.h_recon, sup, w, b, options, out);
+    AccumulateSlsGradientFast(batch.v_recon, batch.h_recon, sup, w, b,
+                              options, out);
   }
 
   double rescale = 1.0;

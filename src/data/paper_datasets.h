@@ -1,5 +1,5 @@
 // Registry of the paper's evaluation datasets (Tables II and III),
-// realized as calibrated synthetic equivalents (see DESIGN.md).
+// realized as calibrated synthetic equivalents.
 //
 // Datasets I — MSRA-MM 2.0 image-feature sets (9 sets, 3 classes,
 //   ~800-930 instances x 892/899 real-valued dims, heavy class imbalance:

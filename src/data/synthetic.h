@@ -1,10 +1,10 @@
 // Synthetic Gaussian-mixture dataset generator.
 //
 // This is the substitute substrate for the paper's proprietary/offline
-// corpora (MSRA-MM 2.0 image features, UCI tables) — see DESIGN.md for the
-// substitution rationale. The generator produces the regime the paper's
-// algorithms operate in: partially recoverable class structure, class
-// imbalance, irrelevant feature dimensions, and within-class anisotropy.
+// corpora (MSRA-MM 2.0 image features, UCI tables). The generator
+// produces the regime the paper's algorithms operate in: partially
+// recoverable class structure, class imbalance, irrelevant feature
+// dimensions, and within-class anisotropy.
 #ifndef MCIRBM_DATA_SYNTHETIC_H_
 #define MCIRBM_DATA_SYNTHETIC_H_
 

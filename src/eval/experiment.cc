@@ -56,7 +56,7 @@ ExperimentConfig MakePaperConfig(bool grbm_family) {
   config.grbm_family = grbm_family;
   // Learning rate and eta are the paper's (Section V.B); hidden width,
   // epochs and the supervision step scale are unreported there and were
-  // calibrated on the synthetic substrate (see EXPERIMENTS.md).
+  // calibrated on the synthetic substrate.
   if (grbm_family) {
     config.rbm.learning_rate = 1e-4;  // Section V.B
     config.sls.eta = 0.4;
@@ -71,19 +71,16 @@ ExperimentConfig MakePaperConfig(bool grbm_family) {
     config.rbm.epochs = 60;
     // The paper's ε-free supervision step needs a large scale at lr 1e-5;
     // the trust-region cap keeps that scale stable on the high-coverage
-    // consensus datasets (see bench/tune_uci.cc sweeps).
+    // consensus datasets.
     config.sls.supervision_scale = 300000.0;
     config.sls.disperse_weight = 2.0;
     config.sls.max_grad_norm = 5000.0;
   }
-  // The paper's DP/K-means/AP integration, expressed through the
-  // deprecated-flag shim so the bench/tuning programs can keep mutating
-  // individual toggles; ResolveVoterSpecs translates it into registry
-  // voter specs either way. Three independently seeded K-means members
-  // make the unanimous vote stricter, which is what lifts consensus
-  // precision on the noisy image-descriptor substrate (see
-  // bench/tune_msra.cc sweeps).
-  config.supervision.kmeans_voters = 3;
+  // The paper's DP/K-means/AP integration. Three independently seeded
+  // K-means members make the unanimous vote stricter, which is what lifts
+  // consensus precision on the noisy image-descriptor substrate.
+  config.supervision.voters = {
+      {"dp", {}, 1}, {"kmeans", {}, 3}, {"ap", {}, 1}};
   config.rbm.batch_size = 0;  // full batch on these small datasets
   config.rbm.cd_k = 1;
   return config;
@@ -150,9 +147,7 @@ DatasetExperimentResult RunDatasetExperiment(const data::Dataset& dataset,
     sls_cfg.sls = config.sls;
     sls_cfg.supervision = config.supervision;
     sls_cfg.parallel = config.parallel;
-    sls_cfg.supervision.num_clusters = std::max(
-        2, static_cast<int>(
-               std::lround(k * config.supervision_cluster_factor)));
+    sls_cfg.supervision.num_clusters = std::max(2, k);
     core::PipelineResult sls = core::RunEncoderPipeline(x, sls_cfg, rep_seed);
     outcomes[rep].coverage = sls.supervision.Coverage();
     outcomes[rep].supervision_clusters = sls.supervision.num_clusters;

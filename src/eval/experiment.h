@@ -66,12 +66,6 @@ struct ExperimentConfig {
   core::SupervisionConfig supervision;  ///< K set per dataset
   core::ParallelConfig parallel;  ///< execution-engine settings
 
-  /// The base clusterers produce partitions with
-  /// round(num_classes * supervision_cluster_factor) clusters: 1.0 votes at
-  /// class granularity, >1 votes at finer "local cluster" granularity
-  /// (purer credible clusters, the paper's local-supervision notion).
-  double supervision_cluster_factor = 1.0;
-
   int repeats = 3;
   std::uint64_t seed = 7;
 

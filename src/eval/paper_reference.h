@@ -1,6 +1,5 @@
 // The paper's reported numbers (Tables IV-IX), embedded so every bench
-// binary can print measured values side by side with the reference and
-// EXPERIMENTS.md can be regenerated mechanically.
+// binary can print measured values side by side with the reference.
 #ifndef MCIRBM_EVAL_PAPER_REFERENCE_H_
 #define MCIRBM_EVAL_PAPER_REFERENCE_H_
 

@@ -73,16 +73,27 @@ TEST(ParsePipelineSpecTest, RequiresExactlyOneDataSource) {
   ASSERT_FALSE(neither.ok());
   EXPECT_EQ(neither.status().code(), StatusCode::kInvalidArgument);
 
-  auto both = ParsePipelineSpec(
-      "data.path = x.csv\ndata.family = uci\ndata.index = 0\n");
-  ASSERT_FALSE(both.ok());
-  EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument);
+  // `data` is the one source key; like every key, its later line wins.
+  auto twice = ParsePipelineSpec("data = x.csv\ndata = synth:uci:0\n");
+  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+  EXPECT_EQ(twice.value().data_spec, "synth:uci:0");
+}
+
+TEST(ParsePipelineSpecTest, EachSettingHasOneSpelling) {
+  // Retired aliases and legacy source keys are unknown, not synonyms.
+  for (const char* line :
+       {"data.path = x.csv", "data.family = uci", "data.index = 1",
+        "rbm.lr = 0.01", "sls.scale = 10", "sls.use_fast_gradient = false"}) {
+    auto spec =
+        ParsePipelineSpec("data = synth:uci:0\n" + std::string(line) + "\n");
+    EXPECT_EQ(spec.status().code(), StatusCode::kNotFound) << line;
+  }
 }
 
 TEST(ParsePipelineSpecTest, ModelKeySelectsFamilyBaseConfig) {
-  auto grbm = ParsePipelineSpec("data.family = uci\nmodel = sls-grbm\n");
+  auto grbm = ParsePipelineSpec("data = synth:uci:0\nmodel = sls-grbm\n");
   ASSERT_TRUE(grbm.ok()) << grbm.status().ToString();
-  auto rbm = ParsePipelineSpec("data.family = uci\nmodel = sls-rbm\n");
+  auto rbm = ParsePipelineSpec("data = synth:uci:0\nmodel = sls-rbm\n");
   ASSERT_TRUE(rbm.ok()) << rbm.status().ToString();
   // The paper uses different family hyper-parameters; the spec should have
   // picked them up before any overrides.
@@ -91,23 +102,32 @@ TEST(ParsePipelineSpecTest, ModelKeySelectsFamilyBaseConfig) {
 }
 
 TEST(ParsePipelineSpecTest, RejectsBadSpecValues) {
-  EXPECT_EQ(
-      ParsePipelineSpec("data.family = imagenet\n").status().code(),
-      StatusCode::kParseError);
-  EXPECT_EQ(ParsePipelineSpec("data.family = uci\ndata.transform = fft\n")
+  EXPECT_EQ(ParsePipelineSpec("data = synth:uci:0\ndata.transform = fft\n")
                 .status()
                 .code(),
             StatusCode::kParseError);
   EXPECT_EQ(
-      ParsePipelineSpec("data.family = uci\neval.clusterer = birch\n")
+      ParsePipelineSpec("data = synth:uci:0\neval.clusterer = birch\n")
           .status()
           .code(),
       StatusCode::kNotFound);
   EXPECT_EQ(
-      ParsePipelineSpec("data.family = uci\ndata.max_instances = -5\n")
+      ParsePipelineSpec("data = synth:uci:0\ndata.max_instances = -5\n")
           .status()
           .code(),
       StatusCode::kInvalidArgument);
+  // Keys whose 0 means "use the default" reject negatives instead of
+  // reading them as 0.
+  for (const char* key : {"supervision.clusters", "eval.k", "rbm.batch_size",
+                          "parallel.threads"}) {
+    const std::string prefix = "data = synth:uci:0\n" + std::string(key);
+    auto negative = ParsePipelineSpec(prefix + " = -1\n");
+    EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(negative.status().message().find("line 2"), std::string::npos)
+        << negative.status().ToString();
+    auto zero = ParsePipelineSpec(prefix + " = 0\n");
+    EXPECT_TRUE(zero.ok()) << key << ": " << zero.status().ToString();
+  }
 }
 
 TEST(ParsePipelineSpecFileTest, MissingFileIsIoError) {

@@ -6,6 +6,7 @@
 
 #include "api/api.h"
 #include "data/synthetic.h"
+#include "eval/experiment.h"
 
 namespace mcirbm {
 namespace {
@@ -180,30 +181,30 @@ TEST(VoterSpecTest, ParseVoterListHandlesCountsAndErrors) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(VoterSpecTest, SpecsMatchDeprecatedFlagShimExactly) {
-  data::GaussianMixtureSpec spec;
-  spec.name = "shim";
-  spec.num_classes = 2;
-  spec.num_instances = 60;
-  spec.num_features = 5;
-  spec.separation = 5.0;
-  const data::Dataset ds = data::GenerateGaussianMixture(spec, 9);
+// The resolved voter list spelled "name*count,...", or the error; a voter
+// with parameters is marked, since the paper voters take none.
+std::string ResolvedVoters(const core::SupervisionConfig& config) {
+  const auto specs = core::ResolveVoterSpecs(config);
+  if (!specs.ok()) return specs.status().ToString();
+  std::string spelled;
+  for (const core::VoterSpec& spec : specs.value()) {
+    if (!spelled.empty()) spelled += ",";
+    spelled += spec.clusterer + "*" + std::to_string(spec.count);
+    if (!spec.params.empty()) spelled += "(params)";
+  }
+  return spelled;
+}
 
-  // Deprecated bool-flag form (dp + kmeans×2 + ap).
-  core::SupervisionConfig flags;
-  flags.num_clusters = 2;
-  flags.kmeans_voters = 2;
-
-  // Equivalent registry voter-spec form.
-  core::SupervisionConfig specs = flags;
-  specs.voters = {{"dp", {}, 1}, {"kmeans", {}, 2}, {"ap", {}, 1}};
-
-  const auto from_flags =
-      core::ComputeSelfLearningSupervision(ds.x, flags, 17);
-  const auto from_specs =
-      core::ComputeSelfLearningSupervision(ds.x, specs, 17);
-  EXPECT_EQ(from_flags.cluster_of, from_specs.cluster_of);
-  EXPECT_EQ(from_flags.num_clusters, from_specs.num_clusters);
+TEST(VoterSpecTest, DefaultsResolveToThePaperVoters) {
+  // The paper's DP/K-means/AP trio; MakePaperConfig runs three K-means
+  // members. The order is part of the result: the first voter's partition
+  // is the one the others are aligned to.
+  EXPECT_EQ(ResolvedVoters(core::SupervisionConfig{}), "dp*1,kmeans*1,ap*1");
+  for (const bool grbm_family : {true, false}) {
+    EXPECT_EQ(ResolvedVoters(eval::MakePaperConfig(grbm_family).supervision),
+              "dp*1,kmeans*3,ap*1")
+        << "grbm_family " << grbm_family;
+  }
 }
 
 TEST(VoterSpecTest, EmptyVoterSetIsInvalidArgument) {
@@ -216,9 +217,7 @@ TEST(VoterSpecTest, EmptyVoterSetIsInvalidArgument) {
   const data::Dataset ds = data::GenerateGaussianMixture(spec, 1);
   core::SupervisionConfig config;
   config.num_clusters = 2;
-  config.use_density_peaks = false;
-  config.use_kmeans = false;
-  config.use_affinity_propagation = false;
+  config.voters.clear();
   auto sup = core::TryComputeSelfLearningSupervision(ds.x, config, 1);
   ASSERT_FALSE(sup.ok());
   EXPECT_EQ(sup.status().code(), StatusCode::kInvalidArgument);

@@ -25,19 +25,13 @@ data::Dataset SeparatedMixture(std::uint64_t seed) {
 
 TEST(ExtendedVotersTest, EachExtendedVoterAloneProducesValidSupervision) {
   const data::Dataset ds = SeparatedMixture(11);
-  for (int which = 0; which < 4; ++which) {
+  for (const char* voter : {"agglomerative", "dbscan", "gmm", "spectral"}) {
     SupervisionConfig cfg;
     cfg.num_clusters = 3;
-    cfg.use_density_peaks = false;
-    cfg.use_kmeans = false;
-    cfg.use_affinity_propagation = false;
-    cfg.use_agglomerative = which == 0;
-    cfg.use_dbscan = which == 1;
-    cfg.use_gmm = which == 2;
-    cfg.use_spectral = which == 3;
+    cfg.voters = {{voter, {}, 1}};
     const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 7);
     sup.CheckValid();
-    EXPECT_GT(sup.NumCredible(), 0u) << "voter " << which;
+    EXPECT_GT(sup.NumCredible(), 0u) << "voter " << voter;
   }
 }
 
@@ -59,14 +53,12 @@ TEST(ExtendedVotersTest, FullEnsembleSupervisionIsPurerThanAnySingle) {
 
   SupervisionConfig full;
   full.num_clusters = 3;
-  full.use_agglomerative = true;
-  full.use_gmm = true;
+  full.voters = ParseVoterList("dp,kmeans,ap,agglomerative,gmm").value();
   const double ensemble_purity = purity_of(full);
 
   SupervisionConfig kmeans_only;
   kmeans_only.num_clusters = 3;
-  kmeans_only.use_density_peaks = false;
-  kmeans_only.use_affinity_propagation = false;
+  kmeans_only.voters = {{"kmeans", {}, 1}};
   const double single_purity = purity_of(kmeans_only);
 
   // The stricter 5-member unanimous vote should never be less pure than a
@@ -78,10 +70,7 @@ TEST(ExtendedVotersTest, DbscanNoiseAbstainsRatherThanPoisons) {
   const data::Dataset ds = SeparatedMixture(17);
   SupervisionConfig with_dbscan;
   with_dbscan.num_clusters = 3;
-  with_dbscan.use_kmeans = true;
-  with_dbscan.use_density_peaks = false;
-  with_dbscan.use_affinity_propagation = false;
-  with_dbscan.use_dbscan = true;
+  with_dbscan.voters = {{"kmeans", {}, 1}, {"dbscan", {}, 1}};
   const auto sup = ComputeSelfLearningSupervision(ds.x, with_dbscan, 5);
   sup.CheckValid();
   // DBSCAN abstentions lower coverage but never create invalid ids.
@@ -100,9 +89,8 @@ TEST(ExtendedVotersTest, MoreMembersNeverRaiseCoverage) {
       ComputeSelfLearningSupervision(ds.x, base, 23).Coverage();
 
   SupervisionConfig extended = base;
-  extended.use_agglomerative = true;
-  extended.use_gmm = true;
-  extended.use_spectral = true;
+  extended.voters =
+      ParseVoterList("dp,kmeans,ap,agglomerative,gmm,spectral").value();
   const double cov_ext =
       ComputeSelfLearningSupervision(ds.x, extended, 23).Coverage();
 
@@ -114,9 +102,7 @@ TEST(ExtendedVotersTest, DeterministicGivenSeed) {
   const data::Dataset ds = SeparatedMixture(29);
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
-  cfg.use_agglomerative = true;
-  cfg.use_dbscan = true;
-  cfg.use_gmm = true;
+  cfg.voters = ParseVoterList("dp,kmeans,ap,agglomerative,dbscan,gmm").value();
   const auto a = ComputeSelfLearningSupervision(ds.x, cfg, 31);
   const auto b = ComputeSelfLearningSupervision(ds.x, cfg, 31);
   EXPECT_EQ(a.cluster_of, b.cluster_of);

@@ -70,7 +70,7 @@ TEST(SupervisionPipelineTest, SubsetOfClusterersWorks) {
   data::StandardizeInPlace(&d.x);
   SupervisionConfig cfg;
   cfg.num_clusters = 2;
-  cfg.use_affinity_propagation = false;
+  cfg.voters = {{"dp", {}, 1}, {"kmeans", {}, 1}};
   const voting::LocalSupervision sup =
       ComputeSelfLearningSupervision(d.x, cfg, 1);
   EXPECT_GT(sup.Coverage(), 0.5);
@@ -79,9 +79,7 @@ TEST(SupervisionPipelineTest, SubsetOfClusterersWorks) {
 TEST(SupervisionPipelineDeathTest, NoClusterersAborts) {
   linalg::Matrix x(10, 3);
   SupervisionConfig cfg;
-  cfg.use_density_peaks = false;
-  cfg.use_kmeans = false;
-  cfg.use_affinity_propagation = false;
+  cfg.voters.clear();
   EXPECT_DEATH(ComputeSelfLearningSupervision(x, cfg, 1),
                "at least one base clusterer");
 }

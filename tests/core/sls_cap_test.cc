@@ -1,7 +1,7 @@
 // Tests for the trust-region cap on the supervision gradient
 // (SlsConfig::max_grad_norm). The cap is what lets one family-wide
 // supervision_scale stay stable across datasets whose consensus coverage
-// differs by an order of magnitude (see DESIGN.md, calibration).
+// differs by an order of magnitude.
 #include <cmath>
 #include <gtest/gtest.h>
 

@@ -133,20 +133,6 @@ TEST(SlsModelsTest, NamesIdentifyVariants) {
   EXPECT_EQ(g.name(), "sls-grbm");
 }
 
-TEST(SlsModelsTest, FastAndNaiveGradientsTrainIdentically) {
-  const Scenario s = MakeScenario(24, 8, 2, 3.0, 5, true);
-  SlsConfig fast_cfg, naive_cfg;
-  fast_cfg.use_fast_gradient = true;
-  naive_cfg.use_fast_gradient = false;
-  rbm::RbmConfig base = BaseConfig(8, 5);
-  base.epochs = 5;
-  SlsRbm fast(base, fast_cfg, s.supervision);
-  SlsRbm naive(base, naive_cfg, s.supervision);
-  fast.Train(s.x);
-  naive.Train(s.x);
-  EXPECT_TRUE(fast.weights().AllClose(naive.weights(), 1e-9));
-}
-
 TEST(SlsModelsTest, ZeroScaleMatchesPlainModelWithEtaCd) {
   // With supervision_scale = 0 the only difference from a plain RBM is the
   // η scaling of the CD term.

@@ -1,6 +1,7 @@
-// Tests for SupervisionConfig::kmeans_voters — additional independently
-// seeded K-means members in the multi-clustering integration. More voters
-// make the unanimous vote stricter, trading coverage for precision.
+// Tests for `kmeans*N` in SupervisionConfig::voters — additional
+// independently seeded K-means members in the multi-clustering
+// integration. More voters make the unanimous vote stricter, trading
+// coverage for precision.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,13 +32,18 @@ data::Dataset NoisyMixture(std::uint64_t seed) {
   return ds;
 }
 
+// The paper's DP/K-means/AP trio with `kmeans` K-means members.
+std::vector<VoterSpec> PaperVoters(int kmeans) {
+  return {{"dp", {}, 1}, {"kmeans", {}, kmeans}, {"ap", {}, 1}};
+}
+
 TEST(SupervisionVotersTest, MoreVotersNeverRaiseCoverage) {
   const data::Dataset ds = NoisyMixture(3);
   double prev_coverage = 1.1;
   for (const int voters : {1, 3, 6}) {
     SupervisionConfig cfg;
     cfg.num_clusters = 3;
-    cfg.kmeans_voters = voters;
+    cfg.voters = PaperVoters(voters);
     const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 5);
     EXPECT_LE(sup.Coverage(), prev_coverage + 1e-12)
         << voters << " voters";
@@ -54,7 +60,7 @@ TEST(SupervisionVotersTest, StricterVoteDoesNotLowerPrecision) {
   auto precision_with = [&](int voters) {
     SupervisionConfig cfg;
     cfg.num_clusters = 3;
-    cfg.kmeans_voters = voters;
+    cfg.voters = PaperVoters(voters);
     const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 5);
     std::vector<int> truth, pred;
     for (std::size_t i = 0; i < sup.cluster_of.size(); ++i) {
@@ -73,25 +79,11 @@ TEST(SupervisionVotersTest, DeterministicGivenSeed) {
   const data::Dataset ds = NoisyMixture(6);
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
-  cfg.kmeans_voters = 3;
+  cfg.voters = PaperVoters(3);
   const auto a = ComputeSelfLearningSupervision(ds.x, cfg, 9);
   const auto b = ComputeSelfLearningSupervision(ds.x, cfg, 9);
   EXPECT_EQ(a.cluster_of, b.cluster_of);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
-}
-
-TEST(SupervisionVotersTest, VotersUseDistinctSeeds) {
-  // With K-means disabled the voters knob must be irrelevant.
-  const data::Dataset ds = NoisyMixture(8);
-  SupervisionConfig no_km;
-  no_km.num_clusters = 3;
-  no_km.use_kmeans = false;
-  no_km.kmeans_voters = 4;
-  SupervisionConfig no_km_single = no_km;
-  no_km_single.kmeans_voters = 1;
-  const auto a = ComputeSelfLearningSupervision(ds.x, no_km, 2);
-  const auto b = ComputeSelfLearningSupervision(ds.x, no_km_single, 2);
-  EXPECT_EQ(a.cluster_of, b.cluster_of);
 }
 
 TEST(SupervisionVotersTest, MatchesStandaloneVoters) {
@@ -135,8 +127,9 @@ TEST(SupervisionVotersDeathTest, ZeroVotersAborts) {
   const data::Dataset ds = NoisyMixture(1);
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
-  cfg.kmeans_voters = 0;
-  EXPECT_DEATH(ComputeSelfLearningSupervision(ds.x, cfg, 1), "kmeans_voters");
+  cfg.voters = {{"kmeans", {}, 0}};
+  EXPECT_DEATH(ComputeSelfLearningSupervision(ds.x, cfg, 1),
+               "count must be positive");
 }
 
 }  // namespace

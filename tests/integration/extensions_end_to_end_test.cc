@@ -44,8 +44,8 @@ class ExtensionsEndToEndTest : public ::testing::Test {
 TEST_F(ExtensionsEndToEndTest, MajorityEnsembleSupervisionFeedsSlsGrbm) {
   core::SupervisionConfig ensemble;
   ensemble.num_clusters = dataset_.num_classes;
-  ensemble.use_agglomerative = true;
-  ensemble.use_gmm = true;
+  ensemble.voters =
+      core::ParseVoterList("dp,kmeans,ap,agglomerative,gmm").value();
   ensemble.strategy = voting::VoteStrategy::kMajority;
   const auto supervision =
       core::ComputeSelfLearningSupervision(x_, ensemble, 5);
@@ -106,7 +106,8 @@ TEST_F(ExtensionsEndToEndTest, SelfTrainingBeatsOrMatchesRawBaseline) {
   config.pipeline.sls.supervision_scale = 2500;
   config.pipeline.sls.disperse_weight = 2.0;
   config.pipeline.supervision.num_clusters = dataset_.num_classes;
-  config.pipeline.supervision.kmeans_voters = 3;
+  config.pipeline.supervision.voters =
+      core::ParseVoterList("dp,kmeans*3,ap").value();
   config.rounds = 2;
   const auto result = core::RunSelfTraining(x_, config, 7);
   ASSERT_EQ(result.rounds.size(), 2u);
@@ -121,8 +122,8 @@ TEST_F(ExtensionsEndToEndTest, WholeExtensionPathIsDeterministic) {
   auto run_once = [&]() {
     core::SupervisionConfig ensemble;
     ensemble.num_clusters = dataset_.num_classes;
-    ensemble.use_agglomerative = true;
-    ensemble.use_dbscan = true;
+    ensemble.voters =
+        core::ParseVoterList("dp,kmeans,ap,agglomerative,dbscan").value();
     ensemble.strategy = voting::VoteStrategy::kMajority;
     core::PipelineConfig config;
     config.model = core::ModelKind::kSlsGrbm;

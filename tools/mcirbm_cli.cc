@@ -234,9 +234,8 @@ int RunSelectK(const Args& args) {
 
 int RunSupervise(const Args& args) {
   const Status valid = args.Validate(
-      {"data", "clusters", "strategy", "voters", "kmeans-voters",
-       "with-agglomerative", "with-dbscan", "with-gmm", "with-spectral",
-       "seed", "standardize", "minmax", "binarize", "threads"});
+      {"data", "clusters", "strategy", "voters", "seed", "standardize",
+       "minmax", "binarize", "threads"});
   if (!valid.ok()) return Fail(valid);
   const std::string path = args.Get("data");
   if (path.empty()) return Fail("supervise needs --data <csv>");
@@ -248,26 +247,10 @@ int RunSupervise(const Args& args) {
   core::SupervisionConfig config;
   config.num_clusters = args.GetInt("clusters", ds.num_classes);
   if (args.Has("voters")) {
-    // Registry form: an ordered "name" / "name*count" list. The deprecated
-    // toggle flags would be silently ignored alongside it, so combining
-    // the two forms is an error.
-    for (const char* flag : {"kmeans-voters", "with-agglomerative",
-                             "with-dbscan", "with-gmm", "with-spectral"}) {
-      if (args.Has(flag)) {
-        return Fail("--" + std::string(flag) +
-                    " cannot be combined with --voters; fold it into the "
-                    "voter list (e.g. --voters dp,kmeans*3,gmm)");
-      }
-    }
+    // An ordered "name" / "name*count" list, e.g. dp,kmeans*3,ap,gmm.
     auto voters = core::ParseVoterList(args.Get("voters"));
     if (!voters.ok()) return Fail(voters.status());
     config.voters = std::move(voters).value();
-  } else {
-    config.kmeans_voters = args.GetInt("kmeans-voters", 1);
-    config.use_agglomerative = args.Has("with-agglomerative");
-    config.use_dbscan = args.Has("with-dbscan");
-    config.use_gmm = args.Has("with-gmm");
-    config.use_spectral = args.Has("with-spectral");
   }
   if (args.Get("strategy", "unanimous") == "majority") {
     config.strategy = voting::VoteStrategy::kMajority;
@@ -441,11 +424,7 @@ int RunPipeline(const Args& args) {
   if (!spec_or.ok()) return Fail(spec_or.status());
   api::PipelineSpec spec = std::move(spec_or).value();
   // Flag overrides for the run-specific bits of the spec.
-  if (args.Has("data")) {
-    spec.data_spec = args.Get("data");
-    spec.data_path.clear();
-    spec.data_family.clear();
-  }
+  if (args.Has("data")) spec.data_spec = args.Get("data");
   if (args.Has("model-out")) spec.model_out = args.Get("model-out");
   if (args.Has("features-out")) spec.features_out = args.Get("features-out");
   if (args.Has("seed")) spec.seed = args.GetInt("seed", 7);
@@ -904,9 +883,10 @@ void PrintUsage() {
       "--binarize]\n"
       "  supervise  --data <csv> [--clusters K] [--strategy "
       "unanimous|majority]\n"
-      "             [--voters dp,kmeans*3,ap] [--kmeans-voters N]\n"
-      "             [--with-agglomerative] [--with-dbscan] [--with-gmm]\n"
-      "             [--with-spectral] [--standardize|--binarize]\n"
+      "             [--voters dp,kmeans*3,ap] [--standardize|--binarize]\n"
+      "             (--voters: ordered name[*count] list over " + clusterers +
+      ";\n"
+      "             default dp,kmeans,ap)\n"
       "  train      --data <csv> --model " + models + "\n"
       "             --out <path> [--config <file>] [--hidden N] "
       "[--epochs N]\n"
