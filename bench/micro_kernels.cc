@@ -159,18 +159,21 @@ void BM_SlsGradientFast(benchmark::State& state) {
 BENCHMARK(BM_SlsGradientNaive)->Arg(32)->Arg(128)->Arg(256);
 BENCHMARK(BM_SlsGradientFast)->Arg(32)->Arg(128)->Arg(256)->Arg(1024);
 
-data::Dataset BenchBlobs(int n) {
+data::Dataset BenchBlobs(int n, int features = 32) {
   data::GaussianMixtureSpec spec;
   spec.name = "bench";
   spec.num_classes = 3;
   spec.num_instances = n;
-  spec.num_features = 32;
+  spec.num_features = features;
   spec.separation = 4.0;
   return data::GenerateGaussianMixture(spec, 9);
 }
 
+// Args: {n, features}. {879, 899} is VT's shape, the k-means voter's and
+// the evaluation clusterer's input on the headline run.
 void BM_KMeans(benchmark::State& state) {
-  const data::Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
+  const data::Dataset ds = BenchBlobs(static_cast<int>(state.range(0)),
+                                      static_cast<int>(state.range(1)));
   clustering::KMeansConfig cfg;
   cfg.k = 3;
   const clustering::KMeans km(cfg);
@@ -178,7 +181,7 @@ void BM_KMeans(benchmark::State& state) {
     benchmark::DoNotOptimize(km.Cluster(ds.x, 1));
   }
 }
-BENCHMARK(BM_KMeans)->Arg(256)->Arg(1024);
+BENCHMARK(BM_KMeans)->Args({256, 32})->Args({1024, 32})->Args({879, 899});
 
 void BM_DensityPeaks(benchmark::State& state) {
   const data::Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));

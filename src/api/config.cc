@@ -403,6 +403,15 @@ StatusOr<PipelineRunSummary> RunPipeline(const PipelineSpec& spec) {
     dataset = data::StratifiedSubsample(dataset, spec.max_instances,
                                         spec.seed ^ 0x73756273ULL);
   }
+  // The evaluation's k is checked here, before training, so a k above the
+  // row count fails before any model or features are written.
+  const int eval_k = spec.eval_k > 0 ? spec.eval_k : dataset.num_classes;
+  if (spec.eval_clusterer != "none") {
+    const Status k_ok = clustering::CheckClusterCount(
+        "eval clusterer '" + spec.eval_clusterer + "'", eval_k,
+        dataset.num_instances());
+    if (!k_ok.ok()) return k_ok;
+  }
 
   // 2. Preprocessing (paper per-family defaults under "auto").
   const bool grbm_family = spec.config.model == core::ModelKind::kGrbm ||
@@ -457,7 +466,7 @@ StatusOr<PipelineRunSummary> RunPipeline(const PipelineSpec& spec) {
 
   // 5. Evaluation: the named clusterer on raw vs hidden representations
   // ("none" skips it, leaving the metric bundles zero).
-  summary.eval_k = spec.eval_k > 0 ? spec.eval_k : dataset.num_classes;
+  summary.eval_k = eval_k;
   if (spec.eval_clusterer == "none") return summary;
   ParamMap params;
   params.Set("k", std::to_string(summary.eval_k));

@@ -215,6 +215,9 @@ StatusOr<EvalResult> EvaluateFeatures(const linalg::Matrix& features,
         std::set<int>(labels.begin(), labels.end()).size());
   }
   if (k <= 0) return Status::InvalidArgument("cannot infer cluster count");
+  const Status k_ok = clustering::CheckClusterCount(
+      "eval clusterer '" + options.clusterer + "'", k, features.rows());
+  if (!k_ok.ok()) return k_ok;
 
   ParamMap params;
   params.Set("k", std::to_string(k));

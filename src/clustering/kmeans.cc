@@ -16,7 +16,8 @@ namespace {
 // identical serial vs parallel.
 constexpr std::size_t kAssignGrain = 256;
 
-// One full k-means run (k-means++ init + Lloyd) returning SSE.
+// One full k-means run (k-means++ init + Lloyd) returning SSE. Distances
+// come from linalg::SquaredDistances, bit-identical to SquaredDistance.
 ClusteringResult RunOnce(const linalg::Matrix& x, const KMeansConfig& cfg,
                          rng::Rng* rng) {
   const std::size_t n = x.rows();
@@ -29,12 +30,14 @@ ClusteringResult RunOnce(const linalg::Matrix& x, const KMeansConfig& cfg,
   const std::size_t first = rng->UniformIndex(n);
   std::copy_n(x.data() + first * d, d, centroids.data());
   for (int c = 1; c < k; ++c) {
-    const auto prev = centroids.Row(c - 1);
+    const double* prev =
+        centroids.data() + static_cast<std::size_t>(c - 1) * d;
     parallel::ParallelFor(
         n, kAssignGrain, [&](std::size_t begin, std::size_t end) {
+          double dist[kAssignGrain];
+          linalg::SquaredDistances(x, begin, end, prev, 1, dist);
           for (std::size_t i = begin; i < end; ++i) {
-            const double dist = linalg::SquaredDistance(x.Row(i), prev);
-            if (dist < min_dist[i]) min_dist[i] = dist;
+            if (dist[i - begin] < min_dist[i]) min_dist[i] = dist[i - begin];
           }
         });
     const std::size_t next = rng->Categorical(min_dist);
@@ -52,15 +55,17 @@ ClusteringResult RunOnce(const linalg::Matrix& x, const KMeansConfig& cfg,
     // fixed shards so it is thread-count independent.
     const double sse = parallel::ShardedSum(
         x.rows(), kAssignGrain, [&](std::size_t begin, std::size_t end) {
+          std::vector<double> dist((end - begin) * k);
+          linalg::SquaredDistances(x, begin, end, centroids.data(), k,
+                                   dist.data());
           double shard_sse = 0;
           for (std::size_t i = begin; i < end; ++i) {
+            const double* row = dist.data() + (i - begin) * k;
             double best = std::numeric_limits<double>::max();
             int best_c = 0;
             for (int c = 0; c < k; ++c) {
-              const double dist =
-                  linalg::SquaredDistance(x.Row(i), centroids.Row(c));
-              if (dist < best) {
-                best = dist;
+              if (row[c] < best) {
+                best = row[c];
                 best_c = c;
               }
             }
@@ -90,9 +95,6 @@ ClusteringResult RunOnce(const linalg::Matrix& x, const KMeansConfig& cfg,
         for (std::size_t i = 0; i < n; ++i) {
           const int ci = result.assignment[i];
           if (counts[ci] <= 1) continue;
-          double* crow =
-              centroids.data() + static_cast<std::size_t>(ci) * d;
-          (void)crow;
           const double dist = linalg::SquaredDistance(
               x.Row(i), centroids.Row(ci));
           if (dist > far_d) {

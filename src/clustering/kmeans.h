@@ -16,6 +16,14 @@ struct KMeansConfig {
 };
 
 /// Lloyd's algorithm with k-means++ seeding and best-of-N restarts.
+///
+/// The k-means++ seeding and every assignment step take their distances
+/// from linalg::SquaredDistances, the kernel set's 8-rows-per-vector
+/// kernel, bit-identical to linalg::SquaredDistance. The argmin over
+/// centroids in index order, the SSE reduction over fixed 256-row shards
+/// and the empty-cluster re-seed keep their serial order, so assignment,
+/// objective and iterations are identical at any thread count and kernel
+/// set.
 class KMeans : public Clusterer {
  public:
   explicit KMeans(const KMeansConfig& config);

@@ -1,5 +1,6 @@
 #include "clustering/registry.h"
 
+#include <string>
 #include <utility>
 
 #include "clustering/affinity_propagation.h"
@@ -179,6 +180,15 @@ ClustererRegistry::ClustererRegistry() : NamedRegistry("clusterer") {
 ClustererRegistry& ClustererRegistry::Global() {
   static ClustererRegistry* registry = new ClustererRegistry();
   return *registry;
+}
+
+Status CheckClusterCount(const std::string& what, int k, std::size_t rows) {
+  if (k > 0 && static_cast<std::size_t>(k) > rows) {
+    return Status::InvalidArgument(what + ": k = " + std::to_string(k) +
+                                   " exceeds the " + std::to_string(rows) +
+                                   " input rows");
+  }
+  return Status::Ok();
 }
 
 }  // namespace mcirbm::clustering

@@ -15,7 +15,9 @@
 #ifndef MCIRBM_CLUSTERING_REGISTRY_H_
 #define MCIRBM_CLUSTERING_REGISTRY_H_
 
+#include <cstddef>
 #include <memory>
+#include <string>
 
 #include "clustering/clusterer.h"
 #include "util/param_map.h"
@@ -38,6 +40,13 @@ class ClustererRegistry
  private:
   ClustererRegistry();
 };
+
+/// The check every caller that runs a clusterer on user input makes first:
+/// InvalidArgument "<what>: k = <k> exceeds the <rows> input rows" when the
+/// requested cluster count `k` is above the row count (k-means and DP abort
+/// on it; the others cannot reach it), OK otherwise. `what` names the
+/// caller's clusterer, e.g. "voter 'kmeans'".
+Status CheckClusterCount(const std::string& what, int k, std::size_t rows);
 
 }  // namespace mcirbm::clustering
 

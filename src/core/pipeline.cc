@@ -99,11 +99,9 @@ StatusOr<voting::LocalSupervision> TryComputeSelfLearningSupervision(
     if (!clusterer_or.ok()) return clusterer_or.status();
     int k = 0;
     MCIRBM_ASSIGN_OR_RETURN(k, params.GetInt("k", k));
-    if (k > 0 && static_cast<std::size_t>(k) > x.rows()) {
-      return Status::InvalidArgument(
-          "voter '" + spec.clusterer + "': k = " + std::to_string(k) +
-          " exceeds the " + std::to_string(x.rows()) + " input rows");
-    }
+    const Status rows_ok = clustering::CheckClusterCount(
+        "voter '" + spec.clusterer + "'", k, x.rows());
+    if (!rows_ok.ok()) return rows_ok;
     clusterers.push_back(std::move(clusterer_or).value());
   }
 

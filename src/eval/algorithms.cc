@@ -1,7 +1,5 @@
 #include "eval/algorithms.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "clustering/registry.h"
@@ -36,7 +34,6 @@ clustering::ClusteringResult RunClusterer(ClustererKind kind,
       // Best-of-3 restarts by SSE (single-run matches MATLAB-era
       // defaults).
       name = "kmeans";
-      ApplyKMeansRestartOverride(&params);
       break;
     case ClustererKind::kAffinityProp:
       name = "ap";
@@ -47,13 +44,6 @@ clustering::ClusteringResult RunClusterer(ClustererKind kind,
       clustering::ClustererRegistry::Global().Create(name, params);
   MCIRBM_CHECK(clusterer.ok()) << clusterer.status().ToString();
   return clusterer.value()->Cluster(x, seed);
-}
-
-void ApplyKMeansRestartOverride(mcirbm::ParamMap* params) {
-  const char* env = std::getenv("MCIRBM_KMEANS_RESTARTS");
-  if (env != nullptr) {
-    params->Set("restarts", std::to_string(std::max(1, std::atoi(env))));
-  }
 }
 
 }  // namespace mcirbm::eval

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "clustering/clusterer.h"
-#include "util/param_map.h"
 
 namespace mcirbm::eval {
 
@@ -24,12 +23,6 @@ const char* ClustererKindName(ClustererKind kind);
 clustering::ClusteringResult RunClusterer(ClustererKind kind,
                                           const linalg::Matrix& x, int k,
                                           std::uint64_t seed);
-
-/// Applies the MCIRBM_KMEANS_RESTARTS env override (the eval-side
-/// restart-sensitivity ablation) to kmeans `params` when set. Evaluation
-/// only — supervision voters always use the registry default so the
-/// ablation never perturbs training.
-void ApplyKMeansRestartOverride(mcirbm::ParamMap* params);
 
 }  // namespace mcirbm::eval
 

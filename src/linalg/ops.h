@@ -2,12 +2,20 @@
 //
 // GEMM variants are named by operand orientation so call sites read like the
 // math: Gemm(A,B) = A·B; GemmTransA(A,B) = Aᵀ·B; GemmTransB(A,B) = A·Bᵀ.
-// All four run one core, C += α·op(A)·op(B) over strided operand views: A
-// is packed into small row panels with α folded in, B is read in place (or
-// packed when transposed), and register-blocked microkernels do the
-// multiply-adds. The microkernels come from one kernel set, picked once, on
-// first use, from the CPU: AVX-512F where the CPU supports it, else the
-// portable C++ set that every platform compiles. Nothing else selects it.
+// All four run one core, C += α·op(A)·op(B) over strided operand views,
+// which packs each operand once per call and then runs register tiles:
+//   - A: each row shard packs its own rows into small row panels with α
+//     folded in, through the kernel set's packer for A's layout in memory
+//     (row-major, or column-major for the transposed operand);
+//   - B: read in place where its rows are contiguous; the slivers that
+//     cannot be (all of a transposed B, the ragged right edge of any other)
+//     are packed once, before the shards start, and shared by all of them;
+//   - register-blocked microkernels do the multiply-adds.
+// The microkernels, the packers and the squared-distance kernel behind
+// SquaredDistances (K-means' distances) come from one kernel set, picked
+// once, on first use, from the CPU: AVX-512F where the CPU supports it,
+// else the portable C++ set that every platform compiles. Nothing else
+// selects it.
 //
 // Exactness contract: every output element is computed as
 //   c ← 0 (or out(i,j)),  then  c ← c + fl(fl(α·a(i,p))·b(p,j))
@@ -48,16 +56,17 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c);
 void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,
                           Matrix* out);
 
-/// The kernel set the GEMM core runs: "avx512" or "portable".
+/// The kernel set the GEMM core and SquaredDistances run: "avx512" or
+/// "portable".
 std::string_view GemmKernelName();
 
 namespace internal {
 /// Every kernel set this CPU can run, widest first; "portable" is last.
 std::vector<std::string_view> SupportedGemmKernels();
 
-/// While alive, the GEMM core runs the named set (one of
-/// SupportedGemmKernels()) instead of the widest. A test seam for checking
-/// each set; scopes must not overlap.
+/// While alive, the GEMM core, its packers and SquaredDistances run the
+/// named set (one of SupportedGemmKernels()) instead of the widest. A test
+/// seam for checking each set; scopes must not overlap.
 class ScopedGemmKernel {
  public:
   explicit ScopedGemmKernel(std::string_view name);
@@ -92,8 +101,20 @@ void SigmoidInPlace(Matrix* m);
 /// activations. Used heavily by the sls gradient.
 Matrix SigmoidDeriv(const Matrix& a);
 
-/// Squared Euclidean distance between two equal-length spans.
+/// Squared Euclidean distance between two equal-length spans:
+/// s ← 0, then s ← s + fl(fl(a[j]−b[j])²) for j = 0, 1, ... in order.
 double SquaredDistance(std::span<const double> a, std::span<const double> b);
+
+/// Squared distances from rows [begin, end) of `x` to the k rows of
+/// `centers` (k x x.cols(), row-major): out[(i − begin)·k + c] is
+/// SquaredDistance(x.Row(i), center c), bit for bit. The kernel set's
+/// distance kernel holds 8 rows per vector, one row per lane, and each lane
+/// adds fl(fl(x−c)²) in ascending feature order, so the result depends on
+/// neither the set, the row range nor the thread count. It reads x in
+/// place, transposing small blocks of rows in registers; it allocates
+/// nothing.
+void SquaredDistances(const Matrix& x, std::size_t begin, std::size_t end,
+                      const double* centers, std::size_t k, double* out);
 
 /// Dense pairwise squared-distance matrix between rows of `m` (n x n,
 /// symmetric, zero diagonal). Uses the expansion |a|²+|b|²−2a·b with a GEMM.

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "api/api.h"
 
@@ -185,6 +187,46 @@ TEST(PipelineValidationTest, BadCdKFromConfigIsStatusNotAbort) {
   auto model = Model::Train(x, config.value(), 1);
   ASSERT_FALSE(model.ok());
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+}
+
+// An evaluation k above the row count is InvalidArgument, checked before
+// training; k-means and DP used to abort on it in a CHECK. k equal to the
+// row count runs.
+TEST(PipelineValidationTest, EvalKAboveRowCountIsInvalidArgument) {
+  const std::string base =
+      "data = synth:uci:0\nmodel = rbm\nrbm.epochs = 1\n";  // 306 rows
+  for (const char* clusterer : {"kmeans", "dp"}) {
+    SCOPED_TRACE(clusterer);
+    auto spec = ParsePipelineSpec(base + "eval.k = 5000\neval.clusterer = " +
+                                  clusterer + "\n");
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    const auto run = RunPipeline(spec.value());
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find(
+                  "k = 5000 exceeds the 306 input rows"),
+              std::string::npos)
+        << run.status().ToString();
+  }
+  auto at_rows = ParsePipelineSpec(base + "eval.k = 306\n");
+  ASSERT_TRUE(at_rows.ok()) << at_rows.status().ToString();
+  const auto run = RunPipeline(at_rows.value());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value().eval_k, 306);
+}
+
+// The same check guards EvaluateFeatures, which serves op=eval requests.
+TEST(PipelineValidationTest, EvaluateFeaturesRejectsKAboveRowCount) {
+  const linalg::Matrix features(10, 2);
+  const std::vector<int> labels(10, 0);
+  EvalOptions options;
+  options.k = 11;
+  const auto result = EvaluateFeatures(features, labels, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("k = 11 exceeds the 10 input rows"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(PipelineValidationTest, RegistryRejectsBadHyperParameters) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "rng/rng.h"
@@ -104,6 +105,27 @@ TEST_P(GemmShapeTest, TransBMatchesExplicitTranspose) {
   EXPECT_TRUE(BitIdentical(GemmTransB(a, b), NaiveGemm(a, b.Transposed())));
 }
 
+// The accumulating form folds alpha into the column-major packer of its
+// transposed A: out ← out + fl(fl(α·a)·b) in ascending depth.
+TEST_P(GemmShapeTest, AccumulateTransAFoldsAlpha) {
+  const auto [m, k, n] = std::get<1>(GetParam());
+  rng::Rng rng(6000 + m * 97 + k * 13 + n);
+  const Matrix a = RandomMatrix(k, m, &rng);  // will be transposed
+  const Matrix b = RandomMatrix(k, n, &rng);
+  Matrix out = RandomMatrix(m, n, &rng);
+  const double alpha = -0.37;
+  Matrix expected = out;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      double c = expected(i, j);
+      for (int p = 0; p < k; ++p) c += (alpha * a(p, i)) * b(p, j);
+      expected(i, j) = c;
+    }
+  }
+  AccumulateGemmTransA(alpha, a, b, &out);
+  EXPECT_TRUE(BitIdentical(out, expected));
+}
+
 // The output-parameter forms resize and overwrite `c`: into a NaN-filled
 // matrix of another shape they write the value forms' bytes.
 TEST_P(GemmShapeTest, OutputFormsMatchValueForms) {
@@ -142,6 +164,13 @@ std::vector<Shape> GemmShapes() {
       // keeps the minimum shard size in force.
       {34, 100, 20}, {34, 130, 16}, {34, 130, 17},
       {89, 130, 48}, {89, 130, 49},
+      // The packers: whole 8 x 8 blocks with ragged row and depth edges
+      // ({16, 20, 30}); m = 1, depth past one block and a transposed B
+      // whose width is no multiple of any tile ({1, 300, 50}); a one-row
+      // last shard after a full one, at each set's panel height, with
+      // depth past one block ({34, 300, 17}, {89, 300, 49}).
+      {16, 20, 30}, {1, 300, 50}, {34, 300, 17}, {89, 300, 49},
+      {11, 300, 10},
       // The VT CD shape: 879 rows of 899 visible units, 96 hidden.
       {879, 899, 96}};
   // m up to, at and past the 8-row tile; n below, at and past the
@@ -178,28 +207,6 @@ TEST_P(GemmKernelTest, ReportsTheSetItRuns) {
   EXPECT_EQ(GemmKernelName(), GetParam());
 }
 
-TEST_P(GemmKernelTest, AccumulateGemmTransAMatchesExplicitLoopBitwise) {
-  rng::Rng rng(4);
-  const std::size_t k = 300, m = 11, n = 10;
-  const Matrix a = RandomMatrix(k, m, &rng);
-  const Matrix b = RandomMatrix(k, n, &rng);
-  Matrix out = RandomMatrix(m, n, &rng);
-  const double alpha = -0.37;
-  Matrix expected = out;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double c = expected(i, j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double av = alpha * a(p, i);
-        c += av * b(p, j);
-      }
-      expected(i, j) = c;
-    }
-  }
-  AccumulateGemmTransA(alpha, a, b, &out);
-  EXPECT_TRUE(BitIdentical(out, expected));
-}
-
 // A zero in A does not hide a NaN in the B row it multiplies: 0·NaN is
 // NaN, as the naive loop computes it.
 TEST_P(GemmKernelTest, NanInBPropagatesBehindZeroInA) {
@@ -216,6 +223,33 @@ TEST_P(GemmKernelTest, NanInBPropagatesBehindZeroInA) {
   EXPECT_EQ(out(0, 1), 8.0);
 }
 
+// The same at shapes the vector packers handle in whole blocks: a zero
+// column of A meets NaN, +∞ and −∞ in the B row it multiplies, through
+// the row-major and column-major A packers and the shared transposed-B
+// pack. Each affected column is NaN, bit for bit as the naive loop.
+TEST_P(GemmKernelTest, NonFiniteBBehindZeroInAAtPackedShapes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rng::Rng rng(6);
+  const std::size_t m = 17, k = 20, n = 30, zero_p = 5;
+  Matrix a = RandomMatrix(m, k, &rng);
+  for (std::size_t i = 0; i < m; ++i) a(i, zero_p) = 0.0;
+  Matrix b = RandomMatrix(k, n, &rng);
+  b(zero_p, 3) = nan;
+  b(zero_p, 7) = inf;
+  b(zero_p, 29) = -inf;
+  const Matrix expected = NaiveGemm(a, b);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j : {3, 7, 29}) EXPECT_TRUE(std::isnan(expected(i, j)));
+  }
+  EXPECT_TRUE(BitIdentical(Gemm(a, b), expected));
+  EXPECT_TRUE(BitIdentical(GemmTransA(a.Transposed(), b), expected));
+  EXPECT_TRUE(BitIdentical(GemmTransB(a, b.Transposed()), expected));
+  Matrix out(m, n);
+  AccumulateGemmTransA(1.0, a.Transposed(), b, &out);
+  EXPECT_TRUE(BitIdentical(out, expected));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kernels, GemmKernelTest,
     ::testing::ValuesIn(internal::SupportedGemmKernels()), KernelSetName);
@@ -228,7 +262,8 @@ TEST(GemmKernelSetTest, WidestSupportedSetRunsByDefault) {
 }
 
 // Every set writes the same bytes as the portable set at the VT CD shape
-// (879 rows of 899 visible units, 96 hidden), in all four orientations.
+// (879 rows of 899 visible units, 96 hidden), in all four orientations,
+// and for VT's pairwise distances (879 x 879 over 899 features).
 TEST(GemmKernelSetTest, SetsAgreeBitwiseAtVtCdShape) {
   rng::Rng rng(5);
   const Matrix v = RandomMatrix(879, 899, &rng);
@@ -239,7 +274,8 @@ TEST(GemmKernelSetTest, SetsAgreeBitwiseAtVtCdShape) {
     Matrix accumulated = grad;
     AccumulateGemmTransA(-0.37, v, h, &accumulated);
     return std::vector<Matrix>{Gemm(v, w), GemmTransA(v, h),
-                               GemmTransB(h, w), accumulated};
+                               GemmTransB(h, w), accumulated,
+                               PairwiseSquaredDistances(v)};
   };
   std::vector<Matrix> reference;
   {
@@ -312,6 +348,68 @@ TEST(SquaredDistanceTest, BasicAndZero) {
   EXPECT_DOUBLE_EQ(SquaredDistance(a, b), 25);
   EXPECT_DOUBLE_EQ(SquaredDistance(a, a), 0);
 }
+
+// The distance kernel of every set writes SquaredDistance's bytes: row
+// counts below, at and past one 8-row panel and one two-panel tile, center
+// counts below, at and past one 4-center tile, and row ranges that start
+// past row 0.
+class SquaredDistancesTest : public ::testing::TestWithParam<std::string_view> {
+ protected:
+  internal::ScopedGemmKernel kernel_{GetParam()};
+};
+
+TEST_P(SquaredDistancesTest, MatchesSquaredDistanceBitwise) {
+  const std::size_t d = 13;
+  for (std::size_t n : {1, 7, 8, 9, 257}) {
+    for (std::size_t k : {1, 3, 5, 9}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      rng::Rng rng(n * 31 + k);
+      const Matrix x = RandomMatrix(n, d, &rng);
+      const Matrix centers = RandomMatrix(k, d, &rng);
+      for (const auto& [begin, end] :
+           {std::pair<std::size_t, std::size_t>{0, n}, {n / 2, n},
+            {n / 3, n - n / 4}}) {
+        std::vector<double> got((end - begin) * k);
+        SquaredDistances(x, begin, end, centers.data(), k, got.data());
+        std::vector<double> want;
+        for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t c = 0; c < k; ++c) {
+            want.push_back(SquaredDistance(x.Row(i), centers.Row(c)));
+          }
+        }
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "rows [" << begin << ", " << end << ")";
+      }
+    }
+  }
+}
+
+// One feature; one past a 64-feature block; VT's 899, where each lane's
+// sum runs long.
+TEST_P(SquaredDistancesTest, MatchesAtOneAndManyFeatures) {
+  for (std::size_t d : {1, 65, 899}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    rng::Rng rng(d);
+    const Matrix x = RandomMatrix(21, d, &rng);
+    const Matrix centers = RandomMatrix(3, d, &rng);
+    std::vector<double> got(21 * 3);
+    SquaredDistances(x, 0, 21, centers.data(), 3, got.data());
+    for (std::size_t i = 0; i < 21; ++i) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        const double want = SquaredDistance(x.Row(i), centers.Row(c));
+        EXPECT_EQ(std::memcmp(&got[i * 3 + c], &want, sizeof(double)), 0)
+            << "row " << i << " center " << c;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, SquaredDistancesTest,
+    ::testing::ValuesIn(internal::SupportedGemmKernels()), KernelSetName);
 
 TEST(PairwiseSquaredDistancesTest, MatchesDirectComputation) {
   rng::Rng rng(7);

@@ -398,11 +398,11 @@ int RunEval(const Args& args) {
   // Any registered clusterer works here, not just the paper's three.
   const std::string clusterer_name = args.Get("clusterer", "kmeans");
   const int k = args.GetInt("k", ds.num_classes);
+  const Status k_ok = clustering::CheckClusterCount(
+      "eval clusterer '" + clusterer_name + "'", k, x.rows());
+  if (!k_ok.ok()) return Fail(k_ok);
   ParamMap params;
   params.Set("k", std::to_string(k));
-  if (clusterer_name == "kmeans") {
-    eval::ApplyKMeansRestartOverride(&params);
-  }
   auto clusterer = clustering::ClustererRegistry::Global().Create(
       clusterer_name, params);
   if (!clusterer.ok()) return Fail(clusterer.status());
