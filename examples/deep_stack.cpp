@@ -4,16 +4,18 @@
 // slsGRBM bottom layer with slsRBM upper layers — each recomputing the
 // self-learning local supervision in its own input space — and reports
 // how downstream clustering accuracy changes with depth. The trained
-// stack is persisted with core::SaveStack and reloaded through the
-// unified api::Model::Load entry point to confirm inference parity.
+// stack becomes one api::Model (FromStack), is saved as one model file
+// and reloaded through api::Model::Load to confirm inference parity.
 //
 // Build & run:  ./build/examples/deep_stack
+#include <cstdio>
 #include <iomanip>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "api/api.h"
 #include "clustering/kmeans.h"
-#include "core/stack_serialize.h"
 #include "core/stacked.h"
 #include "data/paper_datasets.h"
 #include "eval/experiment.h"
@@ -80,27 +82,32 @@ int main() {
               << metrics::SilhouetteScore(features, dataset.labels) << "\n";
   }
 
-  // Persist the stack manifest and reload it through the unified model
-  // entry point: api::Model::Load dispatches on the file's magic line, so
-  // single models and stacks round-trip through the same call.
-  const std::string path = "/tmp/mcirbm_deep_stack.txt";
-  const Status save_status = core::SaveStack(stack, path);
+  // Persist the whole stack as one model file and reload it through the
+  // same entry point single-layer models use.
+  const linalg::Matrix expected = stack.Transform(x);
+  auto model = api::Model::FromStack(std::move(stack));
+  if (!model.ok()) {
+    std::cerr << "stack wrap failed: " << model.status().ToString() << "\n";
+    return 1;
+  }
+  const std::string path = "/tmp/mcirbm_deep_stack.mcirbm";
+  const Status save_status = model.value().Save(path);
   if (!save_status.ok()) {
     std::cerr << "stack save failed: " << save_status.ToString() << "\n";
     return 1;
   }
   auto reloaded = api::Model::Load(path);
+  std::remove(path.c_str());
   if (!reloaded.ok()) {
     std::cerr << "stack load failed: " << reloaded.status().ToString()
               << "\n";
     return 1;
   }
-  const bool parity = reloaded.value()
-                          .Transform(x)
-                          .value()
-                          .AllClose(stack.Transform(x), 1e-12);
-  std::cout << "\nsaved " << reloaded.value().num_layers()
-            << "-layer stack; api::Model::Load transform parity: "
+  const bool parity =
+      reloaded.value().Transform(x).value().AllClose(expected, 0);
+  std::cout << "\nsaved " << reloaded.value().num_layers() << "-layer "
+            << reloaded.value().kind()
+            << " stack; api::Model::Load transform parity: "
             << (parity ? "OK" : "MISMATCH") << "\n";
   return parity ? 0 : 1;
 }

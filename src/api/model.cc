@@ -68,18 +68,23 @@ StatusOr<int> ParseModelVersion(const std::string& line,
 
 }  // namespace
 
-StatusOr<Model> Model::Train(const linalg::Matrix& x,
-                             const core::PipelineConfig& config,
-                             std::uint64_t seed) {
-  auto result = core::TryRunEncoderPipeline(x, config, seed);
+StatusOr<Model> Model::FromPipeline(StatusOr<core::PipelineResult> result,
+                                    core::ModelKind kind) {
   if (!result.ok()) return result.status();
   core::PipelineResult pipeline = std::move(result).value();
   Model model;
-  model.kind_ = ModelKindRegistryName(config.model);
-  model.encoder_ = std::move(pipeline.model);
+  model.kind_ = ModelKindRegistryName(kind);
+  model.layers_.push_back(std::move(pipeline.model));
   model.supervision_ = std::move(pipeline.supervision);
   model.final_reconstruction_error_ = pipeline.final_reconstruction_error;
   return model;
+}
+
+StatusOr<Model> Model::Train(const linalg::Matrix& x,
+                             const core::PipelineConfig& config,
+                             std::uint64_t seed) {
+  return FromPipeline(core::TryRunEncoderPipeline(x, config, seed),
+                      config.model);
 }
 
 StatusOr<Model> Model::TrainFromSource(const data::DataSource& source,
@@ -92,31 +97,39 @@ StatusOr<Model> Model::TrainFromSource(const data::DataSource& source,
         "' is sequential — convert it with `mcirbm_cli dataset convert`");
   }
   const DataSourceAdapter adapter(source);
-  auto result = core::TryRunEncoderPipelineFromSource(adapter, config, seed);
-  if (!result.ok()) return result.status();
-  core::PipelineResult pipeline = std::move(result).value();
+  return FromPipeline(
+      core::TryRunEncoderPipelineFromSource(adapter, config, seed),
+      config.model);
+}
+
+StatusOr<Model> Model::FromStack(core::StackedEncoder stack) {
+  if (!stack.is_trained()) {
+    return Status::InvalidArgument("stack has not been trained");
+  }
+  std::vector<std::string> kinds;
+  for (std::size_t l = 0; l < stack.num_layers(); ++l) {
+    kinds.push_back(ModelKindRegistryName(stack.layer_config(l).model));
+  }
   Model model;
-  model.kind_ = ModelKindRegistryName(config.model);
-  model.encoder_ = std::move(pipeline.model);
-  model.supervision_ = std::move(pipeline.supervision);
-  model.final_reconstruction_error_ = pipeline.final_reconstruction_error;
+  model.kind_ = Join(kinds, ",");
+  model.layers_ = std::move(stack).ReleaseLayers();
   return model;
 }
 
 Status Model::Save(const std::string& path) const {
   if (!valid()) return Status::InvalidArgument("cannot save an empty model");
-  if (stack_ != nullptr) {
-    return Status::InvalidArgument(
-        "stack-backed models are multi-file manifests; save them with "
-        "core::SaveStack");
-  }
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   out << kModelMagic << "\n" << "kind: " << kind_ << "\n";
-  const Status status = rbm::SaveParameters(*encoder_, out);
-  if (!status.ok()) {
-    return Status::IoError(status.message() + " for " + path);
+  for (const auto& layer : layers_) {
+    const Status status = rbm::SaveParameters(*layer, out);
+    if (!status.ok()) {
+      return Status::IoError(status.message() + " for " + path);
+    }
   }
+  // The buffered tail reaches the file only here; a full device fails now.
+  out.close();
+  if (!out) return Status::IoError("parameter write failed for " + path);
   return Status::Ok();
 }
 
@@ -127,34 +140,6 @@ StatusOr<Model> Model::Load(const std::string& path) {
   if (!std::getline(in, first_line)) {
     return Status::ParseError(path + ": empty model file");
   }
-
-  Model model;
-
-  // Legacy stack manifest: delegate to core/stack_serialize (the layer
-  // payloads live in sibling files).
-  if (first_line == core::kStackMagic) {
-    auto stack = std::make_unique<core::LoadedStack>();
-    const Status status = core::LoadStack(path, stack.get());
-    if (!status.ok()) return status;
-    model.kind_ = "stack";
-    model.stack_ = std::move(stack);
-    return model;
-  }
-
-  // Legacy bare parameter file: the payload names the model itself. Keep
-  // the *stored* name — the reconstruction is a plain rbm/grbm, but an
-  // sls-trained artifact's provenance must survive Load (and re-Save).
-  if (first_line == rbm::kRbmMagic) {
-    in.seekg(0);
-    std::string stored_name;
-    auto encoder = rbm::LoadInferenceModel(in, path, &stored_name);
-    if (!encoder.ok()) return encoder.status();
-    model.encoder_ = std::move(encoder).value();
-    model.kind_ = stored_name;
-    return model;
-  }
-
-  // Versioned wrapper.
   auto version = ParseModelVersion(first_line, path);
   if (!version.ok()) return version.status();
   if (version.value() > kModelFormatVersion) {
@@ -167,13 +152,37 @@ StatusOr<Model> Model::Load(const std::string& path) {
   if (!std::getline(in, kind_line) || !StartsWith(kind_line, "kind: ")) {
     return Status::ParseError(path + ": missing 'kind:' header line");
   }
+  Model model;
   model.kind_ = Trim(kind_line.substr(std::string("kind: ").size()));
-  if (model.kind_.empty()) {
-    return Status::ParseError(path + ": empty model kind");
+  const std::vector<std::string> kinds = Split(model.kind_, ',');
+  for (std::size_t l = 0; l < kinds.size(); ++l) {
+    if (!ModelKindFromName(kinds[l]).ok()) {
+      return Status::ParseError(path + ": unknown model kind '" + kinds[l] +
+                                "' in '" + kind_line + "'");
+    }
+    const std::string context =
+        kinds.size() == 1 ? path : path + " layer " + std::to_string(l);
+    // The previous payload ends right after its last W value; its line
+    // break stands before the next payload's magic line.
+    if (l > 0) in >> std::ws;
+    auto layer = rbm::LoadInferenceModel(in, context);
+    if (!layer.ok()) return layer.status();
+    if (l > 0 && layer.value()->weights().rows() !=
+                     model.layers_.back()->weights().cols()) {
+      return Status::ParseError(
+          context + ": " + std::to_string(layer.value()->weights().rows()) +
+          " visible units do not match the " +
+          std::to_string(model.layers_.back()->weights().cols()) +
+          " hidden units of layer " + std::to_string(l - 1));
+    }
+    model.layers_.push_back(std::move(layer).value());
   }
-  auto encoder = rbm::LoadInferenceModel(in, path);
-  if (!encoder.ok()) return encoder.status();
-  model.encoder_ = std::move(encoder).value();
+  in >> std::ws;
+  if (!in.eof()) {
+    return Status::ParseError(path + ": data after the " +
+                              std::to_string(kinds.size()) +
+                              " listed layer(s)");
+  }
   return model;
 }
 
@@ -197,8 +206,12 @@ StatusOr<linalg::Matrix> Model::Transform(const linalg::Matrix& x) const {
         "transform input has " + std::to_string(x.cols()) +
         " features but the model expects " + std::to_string(num_visible()));
   }
-  return stack_ != nullptr ? stack_->Transform(x)
-                           : encoder_->HiddenFeatures(x);
+  // Layer 0 reads `x` in place; a copy would cost a whole input matrix.
+  linalg::Matrix features = layers_.front()->HiddenFeatures(x);
+  for (std::size_t l = 1; l < layers_.size(); ++l) {
+    features = layers_[l]->HiddenFeatures(features);
+  }
+  return features;
 }
 
 StatusOr<EvalResult> EvaluateFeatures(const linalg::Matrix& features,
@@ -244,26 +257,16 @@ StatusOr<EvalResult> Model::Evaluate(const linalg::Matrix& x,
 }
 
 std::size_t Model::num_visible() const {
-  if (stack_ != nullptr) return stack_->layer(0).weights().rows();
-  return encoder_ != nullptr ? encoder_->weights().rows() : 0;
+  return valid() ? layers_.front()->weights().rows() : 0;
 }
 
 std::size_t Model::num_hidden() const {
-  if (stack_ != nullptr) {
-    return stack_->layer(stack_->num_layers() - 1).weights().cols();
-  }
-  return encoder_ != nullptr ? encoder_->weights().cols() : 0;
+  return valid() ? layers_.back()->weights().cols() : 0;
 }
 
-std::size_t Model::num_layers() const {
-  if (stack_ != nullptr) return stack_->num_layers();
-  return encoder_ != nullptr ? 1 : 0;
-}
-
-const rbm::RbmBase& Model::encoder() const {
-  MCIRBM_CHECK(encoder_ != nullptr)
-      << "encoder() requires a single-layer model";
-  return *encoder_;
+const rbm::RbmBase& Model::layer(std::size_t i) const {
+  MCIRBM_CHECK_LT(i, layers_.size());
+  return *layers_[i];
 }
 
 }  // namespace mcirbm::api

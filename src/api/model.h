@@ -8,17 +8,21 @@
 //   auto features = restored.value().Transform(x);        // bit-identical
 //   auto scores = restored.value().Evaluate(x, labels, {"kmeans"});
 //
-// On-disk format ("mcirbm-model v1"):
+// A model is an ordered list of layers: one for the encoders Train
+// builds, several for a greedy stack (core::StackedEncoder, wrapped by
+// FromStack). Transform runs them bottom-up. The one on-disk format
+// ("mcirbm-model v1") is a header, then one payload per layer:
 //
 //   mcirbm-model v1
-//   kind: <registry model name>
-//   <single-model payload of rbm/serialize.h>
+//   kind: <kind of layer 0>[,<kind of layer 1>,...]
+//   <rbm/serialize.h payload of layer 0>
+//   <payload of layer 1> ...
 //
-// Load also accepts the two legacy artifacts — bare "mcirbm-rbm v1"
-// parameter files and "mcirbm-stack v1" manifests (core/stack_serialize.h)
-// — so anything ever saved by the CLI or the library round-trips through
-// the same entry point. Unsupported versions, truncated payloads, and
-// dimension mismatches all surface as non-OK Status, never as aborts.
+// Each kind is a registry model name (api/model_registry.h), and the kind
+// list fixes the layer count, so a file cut at a layer boundary does not
+// load as a shorter stack. Bare "mcirbm-rbm v1" payloads, unsupported
+// versions, unknown kinds, truncated payloads, and layers whose widths do
+// not chain all surface as non-OK Status, never as aborts.
 #ifndef MCIRBM_API_MODEL_H_
 #define MCIRBM_API_MODEL_H_
 
@@ -28,7 +32,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/stack_serialize.h"
+#include "core/stacked.h"
 #include "data/source.h"
 #include "linalg/matrix.h"
 #include "metrics/external.h"
@@ -67,7 +71,7 @@ StatusOr<EvalResult> EvaluateFeatures(const linalg::Matrix& features,
 
 /// A trained (or loaded) encoder with unified persistence and inference.
 /// Move-only; a default-constructed Model is empty until assigned from
-/// Train or Load.
+/// Train, FromStack or Load.
 ///
 /// Thread safety: every const member is safe to call concurrently from
 /// any number of threads on one instance. Transform and Evaluate read the
@@ -77,8 +81,7 @@ StatusOr<EvalResult> EvaluateFeatures(const linalg::Matrix& features,
 /// global parallel::ThreadPool serializes region scheduling internally.
 /// Nothing in the inference path mutates the model, so a single instance
 /// can back many concurrent batches (the serve::ModelStore relies on
-/// this). Non-const operations (move-assignment, mutable_* access via
-/// encoder()) must be externally synchronized, as usual.
+/// this). Move-assignment must be externally synchronized, as usual.
 class Model {
  public:
   Model() = default;
@@ -103,8 +106,11 @@ class Model {
                                          const core::PipelineConfig& config,
                                          std::uint64_t seed);
 
-  /// Restores a model saved by Save, a bare rbm/serialize.h parameter
-  /// file, or a core/stack_serialize.h manifest.
+  /// Takes over the layers of a trained stack; InvalidArgument for an
+  /// untrained one. The kind lists each layer's configured model.
+  static StatusOr<Model> FromStack(core::StackedEncoder stack);
+
+  /// Restores a model saved by Save.
   static StatusOr<Model> Load(const std::string& path);
 
   /// Load with shared ownership: the artifact is immutable after loading,
@@ -114,12 +120,12 @@ class Model {
   static StatusOr<std::shared_ptr<const Model>> LoadShared(
       const std::string& path);
 
-  /// Writes the versioned artifact. Stack-backed models are persisted by
-  /// core::SaveStack (multi-file manifests) and rejected here.
+  /// Writes the versioned artifact, one payload per layer. IoError when
+  /// any byte fails to reach the file.
   Status Save(const std::string& path) const;
 
-  /// Hidden-layer features for the rows of `x`; InvalidArgument when
-  /// `x`'s width does not match the encoder's visible layer.
+  /// Top-layer features for the rows of `x`; InvalidArgument when `x`'s
+  /// width does not match the bottom layer's visible width.
   StatusOr<linalg::Matrix> Transform(const linalg::Matrix& x) const;
 
   /// Transforms `x`, clusters the features with the named clusterer, and
@@ -129,16 +135,19 @@ class Model {
                                 const EvalOptions& options = {}) const;
 
   /// False for a default-constructed (empty) model.
-  bool valid() const { return encoder_ != nullptr || stack_ != nullptr; }
+  bool valid() const { return !layers_.empty(); }
 
-  /// Registry name of the trained kind ("sls-grbm", ...; "stack" for
-  /// loaded stack manifests; the stored payload name for legacy files).
+  /// Registry name of each layer's kind, comma-separated ("sls-grbm";
+  /// "sls-grbm,sls-rbm" for a two-layer stack).
   const std::string& kind() const { return kind_; }
 
+  /// Input width of the bottom layer and output width of the top layer;
+  /// 0 if empty.
   std::size_t num_visible() const;
   std::size_t num_hidden() const;
-  /// 1 for single-layer encoders, the layer count for stacks, 0 if empty.
-  std::size_t num_layers() const;
+  std::size_t num_layers() const { return layers_.size(); }
+  /// Layer `i`, bottom-up; requires i < num_layers().
+  const rbm::RbmBase& layer(std::size_t i) const;
 
   // Training telemetry — meaningful only for models produced by Train.
   const voting::LocalSupervision& supervision() const {
@@ -148,14 +157,13 @@ class Model {
     return final_reconstruction_error_;
   }
 
-  /// Underlying single-layer encoder; requires valid() and !is_stack().
-  const rbm::RbmBase& encoder() const;
-  bool is_stack() const { return stack_ != nullptr; }
-
  private:
+  // Wraps the encoder of a finished pipeline run as a one-layer model.
+  static StatusOr<Model> FromPipeline(StatusOr<core::PipelineResult> result,
+                                      core::ModelKind kind);
+
   std::string kind_;
-  std::unique_ptr<rbm::RbmBase> encoder_;
-  std::unique_ptr<core::LoadedStack> stack_;
+  std::vector<std::unique_ptr<rbm::RbmBase>> layers_;
   voting::LocalSupervision supervision_;
   double final_reconstruction_error_ = 0;
 };

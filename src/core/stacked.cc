@@ -86,4 +86,12 @@ const StackedLayerConfig& StackedEncoder::layer_config(std::size_t i) const {
   return configs_[i];
 }
 
+std::vector<std::unique_ptr<rbm::RbmBase>>
+StackedEncoder::ReleaseLayers() && {
+  MCIRBM_CHECK(is_trained()) << "ReleaseLayers before Train";
+  std::vector<std::unique_ptr<rbm::RbmBase>> layers = std::move(models_);
+  models_.clear();
+  return layers;
+}
+
 }  // namespace mcirbm::core

@@ -8,6 +8,10 @@
 // reconstruction). Each sls layer can recompute its self-learning local
 // supervision *in the representation it actually trains on*, so the
 // constrict/disperse pressure follows the features upward.
+//
+// A trained stack is persisted, served and reloaded as one api::Model:
+// api::Model::FromStack takes its layers over, and Model::Save writes
+// them as one "mcirbm-model v1" file.
 #ifndef MCIRBM_CORE_STACKED_H_
 #define MCIRBM_CORE_STACKED_H_
 
@@ -62,6 +66,10 @@ class StackedEncoder {
   bool is_trained() const { return models_.size() == configs_.size(); }
   const rbm::RbmBase& layer(std::size_t i) const;
   const StackedLayerConfig& layer_config(std::size_t i) const;
+
+  /// Hands the trained layers over, bottom-up, and leaves the stack
+  /// untrained. Requires Train to have completed.
+  std::vector<std::unique_ptr<rbm::RbmBase>> ReleaseLayers() &&;
 
  private:
   std::vector<StackedLayerConfig> configs_;

@@ -186,26 +186,6 @@ class MmapSource final : public DataSource {
 
 }  // namespace
 
-Status SaveDatasetBinary(const Dataset& dataset, const std::string& path) {
-  const Status valid = dataset.Validate();
-  if (!valid.ok()) return valid;
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  const std::uint32_t fields[4] = {
-      static_cast<std::uint32_t>(dataset.num_instances()),
-      static_cast<std::uint32_t>(dataset.num_features()),
-      static_cast<std::uint32_t>(dataset.num_classes), 0};
-  out.write(kBinaryDatasetMagic, sizeof(kBinaryDatasetMagic));
-  out.write(reinterpret_cast<const char*>(fields), sizeof(fields));
-  out.write(reinterpret_cast<const char*>(dataset.x.data()),
-            static_cast<std::streamsize>(dataset.x.size() * sizeof(double)));
-  out.write(reinterpret_cast<const char*>(dataset.labels.data()),
-            static_cast<std::streamsize>(dataset.labels.size() *
-                                         sizeof(int)));
-  if (!out) return Status::IoError("write failed for " + path);
-  return Status::Ok();
-}
-
 Status ConvertSourceToBinary(DataSource& source, const std::string& path) {
   if (source.rows() == 0 || source.cols() == 0) {
     return Status::InvalidArgument("cannot convert an empty source (" +
@@ -231,6 +211,8 @@ Status ConvertSourceToBinary(DataSource& source, const std::string& path) {
   if (!streamed.ok()) return streamed;
   out.write(reinterpret_cast<const char*>(labels.data()),
             static_cast<std::streamsize>(labels.size() * sizeof(int)));
+  // The buffered tail reaches the file only here; a full device fails now.
+  out.close();
   if (!out) return Status::IoError("write failed for " + path);
   return Status::Ok();
 }

@@ -40,15 +40,12 @@ namespace mcirbm::data {
 inline constexpr char kBinaryDatasetMagic[8] = {'m', 'c', 'i', 'r',
                                                 'b', 'm', 'd', '1'};
 
-/// Writes `dataset` in the mcirbm-data v1 layout above. The dataset must
-/// validate (kInvalidArgument otherwise).
-Status SaveDatasetBinary(const Dataset& dataset, const std::string& path);
-
-/// Streams `source` into the mcirbm-data v1 layout without materializing
-/// it: feature chunks are written as they arrive and only the label block
-/// (4 bytes/row) is buffered until the end, so converting a CSV larger
-/// than RAM stays bounded by the source's chunk size. Bit-identical to
-/// SaveDatasetBinary(source.Materialize(), path).
+/// The one mcirbm-data v1 writer. Streams `source` into the layout above
+/// without materializing it: feature chunks are written as they arrive
+/// and only the label block (4 bytes/row) is buffered until the end, so
+/// converting a CSV larger than RAM stays bounded by the source's chunk
+/// size. An in-memory Dataset is written through MakeInMemorySource.
+/// IoError when any byte fails to reach the file.
 Status ConvertSourceToBinary(DataSource& source, const std::string& path);
 
 /// Opens a mcirbm-data v1 file as a read-only mmap-backed source. The

@@ -1,7 +1,7 @@
 #include "rbm/serialize.h"
 
-#include <fstream>
-#include <sstream>
+#include <istream>
+#include <ostream>
 
 #include "rbm/grbm.h"
 #include "rbm/rbm.h"
@@ -47,19 +47,9 @@ Status SaveParameters(const RbmBase& model, std::ostream& out) {
   return Status::Ok();
 }
 
-Status SaveParameters(const RbmBase& model, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  const Status status = SaveParameters(model, out);
-  if (!status.ok()) {
-    return Status::IoError(status.message() + " for " + path);
-  }
-  return Status::Ok();
-}
-
 namespace {
 
-// Parses the "magic / name / nv nh" preamble shared by both loaders.
+// Parses the "magic / name / nv nh" preamble.
 Status ReadHeader(std::istream& in, const std::string& context,
                   std::string* name, std::size_t* nv, std::size_t* nh) {
   std::string line;
@@ -107,60 +97,14 @@ Status ReadBlock(std::istream& in, const std::string& context,
   return Status::Ok();
 }
 
-// Reads the a/b/W parameter block into an already shape-matched model.
-Status ReadParameterBlock(std::istream& in, const std::string& context,
-                          std::size_t nv, std::size_t nh, RbmBase* model) {
-  Status status = ReadBlock(in, context, "a:", nv,
-                            model->mutable_visible_bias()->data());
-  if (!status.ok()) return status;
-  status = ReadBlock(in, context, "b:", nh,
-                     model->mutable_hidden_bias()->data());
-  if (!status.ok()) return status;
-  return ReadBlock(in, context, "W:", nv * nh,
-                   model->mutable_weights()->data());
-}
-
 }  // namespace
 
-Status LoadParameters(std::istream& in, RbmBase* model) {
-  std::string stored_name;
-  std::size_t nv = 0, nh = 0;
-  Status status = ReadHeader(in, "parameter stream", &stored_name, &nv, &nh);
-  if (!status.ok()) return status;
-  if (nv != model->weights().rows() || nh != model->weights().cols()) {
-    std::ostringstream msg;
-    msg << "parameter stream: shape " << nv << "x" << nh << " != model "
-        << model->weights().rows() << "x" << model->weights().cols();
-    return Status::InvalidArgument(msg.str());
-  }
-  return ReadParameterBlock(in, "parameter stream", nv, nh, model);
-}
-
-Status LoadParameters(const std::string& path, RbmBase* model) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  const Status status = LoadParameters(in, model);
-  if (!status.ok()) {
-    // Re-prefix stream diagnostics with the file path.
-    std::string message = status.message();
-    const std::string generic = "parameter stream";
-    const std::size_t at = message.find(generic);
-    if (at != std::string::npos) {
-      message.replace(at, generic.size(), path);
-    }
-    return Status(status.code(), message);
-  }
-  return Status::Ok();
-}
-
 StatusOr<std::unique_ptr<RbmBase>> LoadInferenceModel(
-    std::istream& in, const std::string& context,
-    std::string* stored_name_out) {
+    std::istream& in, const std::string& context) {
   std::string stored_name;
   std::size_t nv = 0, nh = 0;
   Status status = ReadHeader(in, context, &stored_name, &nv, &nh);
   if (!status.ok()) return status;
-  if (stored_name_out != nullptr) *stored_name_out = stored_name;
 
   RbmConfig config;
   config.num_visible = static_cast<int>(nv);
@@ -171,7 +115,14 @@ StatusOr<std::unique_ptr<RbmBase>> LoadInferenceModel(
   } else {
     model = std::make_unique<Rbm>(config);
   }
-  status = ReadParameterBlock(in, context, nv, nh, model.get());
+  status = ReadBlock(in, context, "a:", nv,
+                     model->mutable_visible_bias()->data());
+  if (!status.ok()) return status;
+  status = ReadBlock(in, context, "b:", nh,
+                     model->mutable_hidden_bias()->data());
+  if (!status.ok()) return status;
+  status = ReadBlock(in, context, "W:", nv * nh,
+                     model->mutable_weights()->data());
   if (!status.ok()) return status;
   return model;
 }

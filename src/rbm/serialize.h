@@ -1,4 +1,5 @@
-// Text (de)serialization of RBM parameters for checkpointing / export.
+// Text (de)serialization of one RBM layer's parameters: the payload that
+// api::Model (api/model.h) writes once per layer after its own header.
 //
 // Format (line oriented, locale-independent):
 //   mcirbm-rbm v1
@@ -7,6 +8,9 @@
 //   a: <nv doubles>
 //   b: <nh doubles>
 //   W: nv lines of nh doubles
+//
+// A payload on its own is not a model file: api::Model::Load rejects a
+// file that starts with this magic line.
 #ifndef MCIRBM_RBM_SERIALIZE_H_
 #define MCIRBM_RBM_SERIALIZE_H_
 
@@ -19,33 +23,19 @@
 
 namespace mcirbm::rbm {
 
-/// The single-model format magic line ("mcirbm-rbm v1").
+/// The payload magic line ("mcirbm-rbm v1").
 extern const char kRbmMagic[];
 
-/// Writes `model`'s parameters to `path`.
-Status SaveParameters(const RbmBase& model, const std::string& path);
-
-/// Stream form of SaveParameters — lets container formats (api::Model)
-/// embed the parameter block after their own header.
+/// Writes `model`'s parameters to `out`, doubles as %.17g.
 Status SaveParameters(const RbmBase& model, std::ostream& out);
 
-/// Loads parameters into `model`; fails if the stored shape does not match
-/// the model's configured shape (the model name is informational only).
-Status LoadParameters(const std::string& path, RbmBase* model);
-
-/// Stream form of LoadParameters, starting at the format's magic line.
-Status LoadParameters(std::istream& in, RbmBase* model);
-
-/// Reads a parameter block from `in` and reconstructs an
-/// inference-equivalent model sized from the stored shape: the stored name
-/// chooses sigmoid vs linear reconstruction (sls variants are
-/// inference-identical to their plain bases). `context` labels errors.
-/// `stored_name`, when non-null, receives the payload's model name — the
-/// returned object's name() is the plain reconstruction ("rbm"/"grbm"),
-/// so callers preserving provenance (e.g. api::Model) need the original.
+/// Reads one payload from `in`, starting at its magic line, and
+/// reconstructs an inference-equivalent model sized from the stored
+/// shape: the stored name chooses sigmoid vs linear reconstruction (sls
+/// variants are inference-identical to their plain bases, so they load as
+/// Rbm/Grbm). Stops right after the last W value. `context` labels errors.
 StatusOr<std::unique_ptr<RbmBase>> LoadInferenceModel(
-    std::istream& in, const std::string& context,
-    std::string* stored_name = nullptr);
+    std::istream& in, const std::string& context);
 
 }  // namespace mcirbm::rbm
 

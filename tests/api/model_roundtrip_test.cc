@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 
 #include "api/api.h"
@@ -79,23 +83,35 @@ TEST_P(ModelRoundTripTest, SaveLoadTransformMatchesInMemoryRun) {
       << "reloaded transform diverged from the freshly trained model";
 }
 
-TEST_P(ModelRoundTripTest, LegacyBareFilePreservesStoredKind) {
+// A one-layer file is the header, then the layer's SaveParameters bytes,
+// exactly what a hand-rolled writer of the format produces.
+TEST_P(ModelRoundTripTest, SaveWritesHeaderThenPayload) {
   const core::ModelKind kind = GetParam();
   auto trained = Model::Train(x_, TinyConfig(kind), 33);
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  ASSERT_TRUE(trained.value().Save(path_).ok());
 
-  // Pre-facade artifact: a bare rbm/serialize parameter file with no
-  // "mcirbm-model" wrapper. Its payload name must survive Load.
-  ASSERT_TRUE(rbm::SaveParameters(trained.value().encoder(), path_).ok());
-  auto restored = Model::Load(path_);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value().kind(), ModelKindRegistryName(kind));
+  std::ostringstream expected;
+  expected << "mcirbm-model v1\nkind: " << ModelKindRegistryName(kind)
+           << "\n";
+  ASSERT_TRUE(rbm::SaveParameters(trained.value().layer(0), expected).ok());
+  std::ifstream in(path_);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, expected.str());
+}
 
-  auto expected = trained.value().Transform(x_);
-  auto actual = restored.value().Transform(x_);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_TRUE(actual.value().AllClose(expected.value(), 0));
+// A small model fits in the stream buffer, so only the final flush can
+// see the full device; Save must check it before reporting Ok.
+TEST_P(ModelRoundTripTest, SaveToFullDeviceIsIoError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  auto trained = Model::Train(x_, TinyConfig(GetParam()), 33);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const Status status = trained.value().Save("/dev/full");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
 TEST_P(ModelRoundTripTest, TransformRejectsWrongWidth) {

@@ -173,6 +173,37 @@ TEST_F(ModelLoadErrorTest, GarbageMagicRejected) {
   EXPECT_EQ(model.status().code(), StatusCode::kParseError);
 }
 
+// Each is rejected with ParseError; the message names what is wrong.
+TEST_F(ModelLoadErrorTest, UnknownKindsAndOtherFormatsRejected) {
+  const std::string payload =
+      "mcirbm-rbm v1\nrbm\n2 2\na: 0 0\nb: 0 0\nW:\n1 2\n3 4\n";
+  const struct {
+    std::string contents;
+    std::string expected;
+  } cases[] = {
+      {"mcirbm-model v1\nkind: banana\n" + payload,
+       "unknown model kind 'banana'"},
+      {"mcirbm-model v1\nkind: rbm,\n" + payload + payload,
+       "unknown model kind ''"},
+      // The kind list fixes the layer count both ways.
+      {"mcirbm-model v1\nkind: rbm\n" + payload + payload,
+       "data after the 1 listed layer(s)"},
+      // A bare payload is not a model file.
+      {payload, "bad model magic"},
+      // Neither is the retired stack manifest.
+      {"mcirbm-stack v1\n1\nrbm sigmoid .layer0\n", "bad model magic"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.contents);
+    WriteFile(c.contents);
+    auto model = Model::Load(path_);
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.status().code(), StatusCode::kParseError);
+    EXPECT_NE(model.status().message().find(c.expected), std::string::npos)
+        << model.status().ToString();
+  }
+}
+
 TEST_F(ModelLoadErrorTest, NewerFormatVersionRejected) {
   WriteFile("mcirbm-model v999\nkind: rbm\n");
   auto model = Model::Load(path_);

@@ -1,11 +1,18 @@
-#include "core/stack_serialize.h"
-
+// A trained stack persists as one "mcirbm-model v1" file: a kind list
+// plus one payload per layer, through api::Model::FromStack -> Save ->
+// Load.
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "api/model.h"
+#include "core/stacked.h"
 #include "data/synthetic.h"
 #include "data/transforms.h"
 
@@ -18,12 +25,18 @@ class StackSerializeTest : public ::testing::Test {
     path_ = ::testing::TempDir() + "/stack_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this));
   }
-  void TearDown() override {
-    std::remove(path_.c_str());
-    for (int l = 0; l < 4; ++l) {
-      std::remove((path_ + ".layer" + std::to_string(l)).c_str());
-    }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string ReadFile() const {
+    std::ifstream in(path_);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
   }
+  void WriteFile(const std::string& contents) const {
+    std::ofstream out(path_);
+    out << contents;
+  }
+
   std::string path_;
 };
 
@@ -48,94 +61,100 @@ StackedEncoder MakeTrainedStack(const linalg::Matrix& x, bool with_sls) {
   bottom.supervision.num_clusters = 2;
 
   StackedLayerConfig top;
-  top.model = ModelKind::kRbm;
+  top.model = with_sls ? ModelKind::kSlsRbm : ModelKind::kRbm;
   top.rbm.num_hidden = 4;
   top.rbm.epochs = 5;
   top.rbm.learning_rate = 0.05;
+  top.supervision.num_clusters = 2;
 
   StackedEncoder stack({bottom, top});
   stack.Train(x, 5);
   return stack;
 }
 
-TEST_F(StackSerializeTest, RoundTripPreservesTransform) {
+// Saves a trained stack to `path` through the one model writer.
+void SaveAsModel(StackedEncoder stack, const std::string& path) {
+  auto model = api::Model::FromStack(std::move(stack));
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  ASSERT_TRUE(model.value().Save(path).ok());
+}
+
+TEST_F(StackSerializeTest, RoundTripPreservesTransformExactly) {
   const data::Dataset ds = SmallMixture(3);
   StackedEncoder stack = MakeTrainedStack(ds.x, /*with_sls=*/false);
-  ASSERT_TRUE(SaveStack(stack, path_).ok());
+  const linalg::Matrix expected = stack.Transform(ds.x);
+  SaveAsModel(std::move(stack), path_);
 
-  LoadedStack loaded;
-  ASSERT_TRUE(LoadStack(path_, &loaded).ok());
-  ASSERT_EQ(loaded.num_layers(), 2u);
-  EXPECT_TRUE(
-      loaded.Transform(ds.x).AllClose(stack.Transform(ds.x), 1e-12));
-  EXPECT_TRUE(
-      loaded.Transform(ds.x, 1).AllClose(stack.Transform(ds.x, 1), 1e-12));
+  auto loaded = api::Model::Load(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_layers(), 2u);
+  EXPECT_EQ(loaded.value().kind(), "grbm,rbm");
+  EXPECT_EQ(loaded.value().num_visible(), 10u);
+  EXPECT_EQ(loaded.value().num_hidden(), 4u);
+  auto features = loaded.value().Transform(ds.x);
+  ASSERT_TRUE(features.ok()) << features.status().ToString();
+  EXPECT_TRUE(features.value().AllClose(expected, 0));
+  // One file: no per-layer sidecars next to it.
+  EXPECT_FALSE(std::filesystem::exists(path_ + ".layer0"));
+  EXPECT_EQ(ReadFile().rfind("mcirbm-model v1\nkind: grbm,rbm\n", 0), 0u);
 }
 
 TEST_F(StackSerializeTest, SlsLayersLoadAsInferenceEquivalentPlainModels) {
   const data::Dataset ds = SmallMixture(5);
   StackedEncoder stack = MakeTrainedStack(ds.x, /*with_sls=*/true);
-  ASSERT_TRUE(SaveStack(stack, path_).ok());
+  const linalg::Matrix expected = stack.Transform(ds.x);
+  SaveAsModel(std::move(stack), path_);
 
-  LoadedStack loaded;
-  ASSERT_TRUE(LoadStack(path_, &loaded).ok());
-  // The loaded bottom layer is a plain GRBM, but Transform must agree
-  // exactly (supervision affects training only).
-  EXPECT_EQ(loaded.layer(0).name(), "grbm");
-  EXPECT_TRUE(
-      loaded.Transform(ds.x).AllClose(stack.Transform(ds.x), 1e-12));
+  auto loaded = api::Model::Load(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().kind(), "sls-grbm,sls-rbm");
+  // The layers reload as plain models, but Transform must agree exactly
+  // (supervision affects training only).
+  EXPECT_EQ(loaded.value().layer(0).name(), "grbm");
+  EXPECT_EQ(loaded.value().layer(1).name(), "rbm");
+  EXPECT_TRUE(loaded.value().Transform(ds.x).value().AllClose(expected, 0));
 }
 
 TEST_F(StackSerializeTest, UntrainedStackRejected) {
   StackedLayerConfig layer;
   layer.model = ModelKind::kGrbm;
   layer.rbm.num_hidden = 4;
-  StackedEncoder stack({layer});
-  const Status status = SaveStack(stack, path_);
-  EXPECT_FALSE(status.ok());
+  auto model = api::Model::FromStack(StackedEncoder({layer}));
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(StackSerializeTest, MissingManifestIsIoError) {
-  LoadedStack loaded;
-  const Status status = LoadStack(path_ + ".does-not-exist", &loaded);
-  EXPECT_FALSE(status.ok());
-}
-
-TEST_F(StackSerializeTest, CorruptMagicRejected) {
-  {
-    std::ofstream out(path_);
-    out << "not-a-stack v9\n1\n";
-  }
-  LoadedStack loaded;
-  const Status status = LoadStack(path_, &loaded);
-  EXPECT_FALSE(status.ok());
-}
-
-TEST_F(StackSerializeTest, MissingLayerFileRejected) {
+// A file cut at a layer boundary must not load as a shorter stack.
+TEST_F(StackSerializeTest, FewerPayloadsThanKindsRejected) {
   const data::Dataset ds = SmallMixture(7);
-  StackedEncoder stack = MakeTrainedStack(ds.x, /*with_sls=*/false);
-  ASSERT_TRUE(SaveStack(stack, path_).ok());
-  std::remove((path_ + ".layer1").c_str());
-  LoadedStack loaded;
-  EXPECT_FALSE(LoadStack(path_, &loaded).ok());
+  SaveAsModel(MakeTrainedStack(ds.x, /*with_sls=*/false), path_);
+  const std::string contents = ReadFile();
+  const std::size_t first = contents.find("mcirbm-rbm v1");
+  const std::size_t second = contents.find("mcirbm-rbm v1", first + 1);
+  ASSERT_NE(second, std::string::npos);
+  WriteFile(contents.substr(0, second));
+
+  auto loaded = api::Model::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("layer 1"), std::string::npos)
+      << loaded.status().ToString();
 }
 
-TEST_F(StackSerializeTest, TruncatedManifestRejected) {
-  const data::Dataset ds = SmallMixture(9);
-  StackedEncoder stack = MakeTrainedStack(ds.x, /*with_sls=*/false);
-  ASSERT_TRUE(SaveStack(stack, path_).ok());
-  {
-    // Rewrite the manifest claiming 3 layers but listing 2.
-    std::ifstream in(path_);
-    std::string magic;
-    std::getline(in, magic);
-    std::string rest((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    std::ofstream out(path_);
-    out << magic << "\n3\n" << rest.substr(rest.find('\n') + 1);
-  }
-  LoadedStack loaded;
-  EXPECT_FALSE(LoadStack(path_, &loaded).ok());
+TEST_F(StackSerializeTest, LayerWidthsMustChain) {
+  // Layer 0 is 2 -> 3 but layer 1 reads 2 visible units.
+  WriteFile(
+      "mcirbm-model v1\nkind: grbm,rbm\n"
+      "mcirbm-rbm v1\ngrbm\n2 3\na: 0 0\nb: 0 0 0\nW:\n1 2 3\n4 5 6\n"
+      "mcirbm-rbm v1\nrbm\n2 2\na: 0 0\nb: 0 0\nW:\n1 2\n3 4\n");
+  auto loaded = api::Model::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find(
+                "layer 1: 2 visible units do not match the 3 hidden units "
+                "of layer 0"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Failure-injection tests for the dataset CSV loader: every malformed
-// input must produce a clean Status, never a crash or a silently wrong
-// dataset.
+// Failure-injection tests for the dataset CSV loader and the dataset
+// writers: every malformed input and every failed write must produce a
+// clean Status, never a crash, a silently wrong dataset or a false Ok.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "data/binary_io.h"
 #include "data/io.h"
+#include "data/source.h"
 
 namespace mcirbm::data {
 namespace {
@@ -93,6 +97,24 @@ TEST_F(IoFailureTest, SaveToUnwritablePathFails) {
   ds.num_classes = 1;
   EXPECT_FALSE(
       SaveDatasetCsv(ds, "/nonexistent-dir-xyz/file.csv").ok());
+}
+
+// A 3-row dataset fits in the stream buffer, so only the final flush can
+// see the full device; the writer must check it before reporting Ok.
+TEST_F(IoFailureTest, ConvertToFullDeviceIsIoError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  Dataset ds;
+  ds.name = "t";
+  ds.x = linalg::Matrix(3, 2, 0.5);
+  ds.labels = {0, 1, 0};
+  ds.num_classes = 2;
+  auto source = MakeInMemorySource(std::move(ds), {});
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  const Status status = ConvertSourceToBinary(*source.value(), "/dev/full");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -30,6 +30,13 @@ std::string ReadFileBytes(const std::string& path) {
   return buffer.str();
 }
 
+// Writes `dataset` as mcirbm-data v1 through the one binary writer.
+Status SaveBinary(const Dataset& dataset, const std::string& path) {
+  auto source = MakeInMemorySource(dataset, {});
+  if (!source.ok()) return source.status();
+  return ConvertSourceToBinary(*source.value(), path);
+}
+
 Dataset SmallDataset() {
   GaussianMixtureSpec spec;
   spec.name = "src";
@@ -84,27 +91,10 @@ TEST_F(DataSourceTest, CsvBinaryCsvRoundTripIsByteIdentical) {
   EXPECT_EQ(ReadFileBytes(csv_path_), ReadFileBytes(csv2_path_));
 }
 
-TEST_F(DataSourceTest, StreamedConvertMatchesMaterializedSave) {
-  const Dataset original = SmallDataset();
-  ASSERT_TRUE(SaveDatasetCsv(original, csv_path_).ok());
-  DataSourceConfig config;
-  config.max_resident_rows = 5;
-  auto source = OpenCsvSource(csv_path_, "src", config);
-  ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(ConvertSourceToBinary(*source.value(), bin_path_).ok());
-
-  const std::string other = bin_path_ + ".whole";
-  auto materialized = source.value()->Materialize();
-  ASSERT_TRUE(materialized.ok());
-  ASSERT_TRUE(SaveDatasetBinary(materialized.value(), other).ok());
-  EXPECT_EQ(ReadFileBytes(bin_path_), ReadFileBytes(other));
-  std::remove(other.c_str());
-}
-
 TEST_F(DataSourceTest, MmapLoaderMatchesCsvLoader) {
   const Dataset original = SmallDataset();
   ASSERT_TRUE(SaveDatasetCsv(original, csv_path_).ok());
-  ASSERT_TRUE(SaveDatasetBinary(original, bin_path_).ok());
+  ASSERT_TRUE(SaveBinary(original, bin_path_).ok());
 
   auto from_csv = LoadDatasetCsv(csv_path_, "src");
   ASSERT_TRUE(from_csv.ok());
@@ -117,7 +107,7 @@ TEST_F(DataSourceTest, MmapLoaderMatchesCsvLoader) {
 
 TEST_F(DataSourceTest, ChunkedIterationMatchesMaterialize) {
   const Dataset original = SmallDataset();
-  ASSERT_TRUE(SaveDatasetBinary(original, bin_path_).ok());
+  ASSERT_TRUE(SaveBinary(original, bin_path_).ok());
   for (const std::size_t chunk_rows : {std::size_t{1}, std::size_t{7},
                                        std::size_t{23}, std::size_t{100}}) {
     DataSourceConfig config;
@@ -150,7 +140,7 @@ TEST_F(DataSourceTest, ChunkedIterationMatchesMaterialize) {
 
 TEST_F(DataSourceTest, MmapGatherRowsMatchesDirectRows) {
   const Dataset original = SmallDataset();
-  ASSERT_TRUE(SaveDatasetBinary(original, bin_path_).ok());
+  ASSERT_TRUE(SaveBinary(original, bin_path_).ok());
   auto source = OpenMmapSource(bin_path_, "bin", {});
   ASSERT_TRUE(source.ok());
   EXPECT_TRUE(source.value()->SupportsRandomAccess());
@@ -386,7 +376,7 @@ TEST_F(DataSourceTest, CsvChangedAfterOpenFailsBoundedChunks) {
 
 TEST_F(DataSourceTest, TruncatedBinaryFails) {
   const Dataset original = SmallDataset();
-  ASSERT_TRUE(SaveDatasetBinary(original, bin_path_).ok());
+  ASSERT_TRUE(SaveBinary(original, bin_path_).ok());
   const std::string bytes = ReadFileBytes(bin_path_);
   std::ofstream out(bin_path_, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(),
@@ -458,7 +448,7 @@ TEST_F(DataSourceTest, LibsvmRejectsMalformedToken) {
 TEST_F(DataSourceTest, RegistryInfersSchemesFromPaths) {
   const Dataset original = SmallDataset();
   ASSERT_TRUE(SaveDatasetCsv(original, csv_path_).ok());
-  ASSERT_TRUE(SaveDatasetBinary(original, bin_path_).ok());
+  ASSERT_TRUE(SaveBinary(original, bin_path_).ok());
 
   for (const std::string& spec :
        {csv_path_, "csv:" + csv_path_, bin_path_, "bin:" + bin_path_}) {
@@ -471,7 +461,7 @@ TEST_F(DataSourceTest, RegistryInfersSchemesFromPaths) {
 TEST_F(DataSourceTest, RegistrySniffsBinaryMagicWithoutExtension) {
   const Dataset original = SmallDataset();
   const std::string extless = ::testing::TempDir() + "/source_test_noext";
-  ASSERT_TRUE(SaveDatasetBinary(original, extless).ok());
+  ASSERT_TRUE(SaveBinary(original, extless).ok());
   auto loaded = LoadDataset(extless);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameDataset(original, loaded.value());
@@ -501,7 +491,7 @@ TEST_F(DataSourceTest, RegistryRejectsBadSpecs) {
 TEST_F(DataSourceTest, StratifiedSubsampleIsIdenticalAcrossSources) {
   const Dataset original = SmallDataset();
   ASSERT_TRUE(SaveDatasetCsv(original, csv_path_).ok());
-  ASSERT_TRUE(SaveDatasetBinary(original, bin_path_).ok());
+  ASSERT_TRUE(SaveBinary(original, bin_path_).ok());
 
   DataSourceConfig chunked;
   chunked.max_resident_rows = 5;

@@ -4,13 +4,14 @@
 // clustering quality tracked at every stage.
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "api/model.h"
 #include "clustering/kmeans.h"
 #include "core/pipeline.h"
 #include "core/self_training.h"
-#include "core/stack_serialize.h"
 #include "core/stacked.h"
 #include "data/paper_datasets.h"
 #include "data/transforms.h"
@@ -85,15 +86,16 @@ TEST_F(ExtensionsEndToEndTest, StackTrainSaveLoadTransformAgree) {
   const auto stats = stack.Train(x_, 11);
   ASSERT_EQ(stats.size(), 2u);
 
-  const std::string path = ::testing::TempDir() + "/e2e_stack";
-  ASSERT_TRUE(core::SaveStack(stack, path).ok());
-  core::LoadedStack loaded;
-  ASSERT_TRUE(core::LoadStack(path, &loaded).ok());
-  EXPECT_TRUE(
-      loaded.Transform(x_).AllClose(stack.Transform(x_), 1e-12));
+  const linalg::Matrix expected = stack.Transform(x_);
+  auto model = api::Model::FromStack(std::move(stack));
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const std::string path = ::testing::TempDir() + "/e2e_stack.mcirbm";
+  ASSERT_TRUE(model.value().Save(path).ok());
+  auto loaded = api::Model::Load(path);
   std::remove(path.c_str());
-  std::remove((path + ".layer0").c_str());
-  std::remove((path + ".layer1").c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().kind(), "sls-grbm,sls-rbm");
+  EXPECT_TRUE(loaded.value().Transform(x_).value().AllClose(expected, 0));
 }
 
 TEST_F(ExtensionsEndToEndTest, SelfTrainingBeatsOrMatchesRawBaseline) {

@@ -49,8 +49,8 @@ core::PipelineConfig MakeConfig(core::ModelKind kind, int threads,
 
 void ExpectBitIdentical(const api::Model& a, const api::Model& b,
                         const linalg::Matrix& x) {
-  const rbm::RbmBase& ea = a.encoder();
-  const rbm::RbmBase& eb = b.encoder();
+  const rbm::RbmBase& ea = a.layer(0);
+  const rbm::RbmBase& eb = b.layer(0);
   ASSERT_EQ(ea.weights().rows(), eb.weights().rows());
   ASSERT_EQ(ea.weights().cols(), eb.weights().cols());
   for (std::size_t i = 0; i < ea.weights().size(); ++i) {
@@ -74,7 +74,9 @@ class OutOfCoreTest : public ::testing::Test {
   void SetUp() override {
     path_ = ::testing::TempDir() + "/out_of_core_test.bin";
     dataset_ = MakeDataset();
-    ASSERT_TRUE(data::SaveDatasetBinary(dataset_, path_).ok());
+    auto source = data::MakeInMemorySource(dataset_, {});
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    ASSERT_TRUE(data::ConvertSourceToBinary(*source.value(), path_).ok());
   }
   void TearDown() override {
     std::remove(path_.c_str());
