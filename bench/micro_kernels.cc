@@ -19,6 +19,7 @@
 #include "data/loaders.h"
 #include "data/paper_datasets.h"
 #include "data/synthetic.h"
+#include "data/transforms.h"
 #include "linalg/ops.h"
 #include "rbm/grbm.h"
 #include "rbm/rbm.h"
@@ -210,6 +211,22 @@ BENCHMARK(BM_AffinityPropagation)
     ->Args({128, 0})
     ->Args({256, 0})
     ->Args({1055, 2});
+
+// The ap voter on QB itself: uci:1 (1055 x 41, generator seed 7) under the
+// pipeline's binarize transform, k = 2. Unlike the blobs above, its
+// preference search reaches the all-exemplar floor, where it stops early.
+void BM_AffinityPropagationQb(benchmark::State& state) {
+  data::Dataset ds = data::GenerateUciLike(1, 7);
+  data::MinMaxScaleInPlace(&ds.x);
+  data::BinarizeAtColumnMeanInPlace(&ds.x);
+  clustering::AffinityPropagationConfig cfg;
+  cfg.target_clusters = 2;
+  const clustering::AffinityPropagation ap(cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ap.Cluster(ds.x, 1));
+  }
+}
+BENCHMARK(BM_AffinityPropagationQb)->Unit(benchmark::kMillisecond);
 
 // The data layer at VT's shape: synth msra:8 (879 x 899 plus the label
 // column, generator seed 7), written once to a temporary CSV that is

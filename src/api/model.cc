@@ -156,7 +156,8 @@ StatusOr<Model> Model::Load(const std::string& path) {
   model.kind_ = Trim(kind_line.substr(std::string("kind: ").size()));
   const std::vector<std::string> kinds = Split(model.kind_, ',');
   for (std::size_t l = 0; l < kinds.size(); ++l) {
-    if (!ModelKindFromName(kinds[l]).ok()) {
+    const auto kind = ModelKindFromName(kinds[l]);
+    if (!kind.ok()) {
       return Status::ParseError(path + ": unknown model kind '" + kinds[l] +
                                 "' in '" + kind_line + "'");
     }
@@ -167,6 +168,15 @@ StatusOr<Model> Model::Load(const std::string& path) {
     if (l > 0) in >> std::ws;
     auto layer = rbm::LoadInferenceModel(in, context);
     if (!layer.ok()) return layer.status();
+    // The payload's stored name picks the reconstruction; it must be of
+    // the family its 'kind:' entry names.
+    const bool gaussian = kind.value() == core::ModelKind::kGrbm ||
+                          kind.value() == core::ModelKind::kSlsGrbm;
+    const std::string family = layer.value()->name();
+    if (family != (gaussian ? "grbm" : "rbm")) {
+      return Status::ParseError(context + ": payload family '" + family +
+                                "' does not match kind '" + kinds[l] + "'");
+    }
     if (l > 0 && layer.value()->weights().rows() !=
                      model.layers_.back()->weights().cols()) {
       return Status::ParseError(

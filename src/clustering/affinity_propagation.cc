@@ -21,8 +21,6 @@ namespace {
 // thread count.
 constexpr std::size_t kRowGrain = 32;
 constexpr std::size_t kColumnGrain = 256;
-// Independent accumulators per max scan (see ArgmaxOfSum).
-constexpr std::size_t kLanes = 4;
 constexpr double kFloor = -std::numeric_limits<double>::max();
 
 // The inner loops below are free functions over raw pointers with the
@@ -78,19 +76,20 @@ bool Precedes(const Pick& x, const Pick& y) {
   return x.value > y.value || (x.value == y.value && x.index < y.index);
 }
 
-// Lane j of a max scan takes k = j, j + kLanes, ... (the tail goes to the
-// first lanes), so each lane sees an ascending subsequence. With the same
-// strict > per lane, a lane's pick is the first maximum of its
+// Lane j of an L-lane max scan takes k = j, j + L, ... (the tail goes to
+// the first lanes), so each lane sees an ascending subsequence. With the
+// same strict > per lane, a lane's pick is the first maximum of its
 // subsequence, and the first maximum of the row is the lane pick that
 // Precedes the others: the scans below return exactly the index and the
-// value bits of the serial scan (ties, ±0 and NaN included).
+// value bits of the serial scan (ties, ±0 and NaN included) at any L.
 
 // Serial reference: best = -DBL_MAX; for k: if (x[k]+y[k] > best) take k.
 // Returns the taken index, or n if no sum exceeds -DBL_MAX.
+template <std::size_t L>
 std::size_t ArgmaxOfSum(const double* x, const double* y, std::size_t n) {
-  double best[kLanes];
-  std::size_t at[kLanes];
-  for (std::size_t j = 0; j < kLanes; ++j) {
+  double best[L];
+  std::size_t at[L];
+  for (std::size_t j = 0; j < L; ++j) {
     best[j] = kFloor;
     at[j] = n;
   }
@@ -101,12 +100,12 @@ std::size_t ArgmaxOfSum(const double* x, const double* y, std::size_t n) {
     at[j] = take ? k : at[j];
   };
   std::size_t k0 = 0;
-  for (; k0 + kLanes <= n; k0 += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) visit(j, k0 + j);
+  for (; k0 + L <= n; k0 += L) {
+    for (std::size_t j = 0; j < L; ++j) visit(j, k0 + j);
   }
   for (std::size_t j = 0; k0 + j < n; ++j) visit(j, k0 + j);
   Pick first{kFloor, n};
-  for (std::size_t j = 0; j < kLanes; ++j) {
+  for (std::size_t j = 0; j < L; ++j) {
     const Pick lane{best[j], at[j]};
     if (Precedes(lane, first)) first = lane;
   }
@@ -124,10 +123,11 @@ struct TopTwo {
   double second;
 };
 
+template <std::size_t L>
 TopTwo TopTwoOfSum(const double* x, const double* y, std::size_t n) {
-  double best[kLanes], second[kLanes];
-  std::size_t best_at[kLanes], second_at[kLanes];
-  for (std::size_t j = 0; j < kLanes; ++j) {
+  double best[L], second[L];
+  std::size_t best_at[L], second_at[L];
+  for (std::size_t j = 0; j < L; ++j) {
     best[j] = second[j] = kFloor;
     best_at[j] = second_at[j] = n;
   }
@@ -143,13 +143,13 @@ TopTwo TopTwoOfSum(const double* x, const double* y, std::size_t n) {
     best_at[j] = above_best ? k : best_at[j];
   };
   std::size_t k0 = 0;
-  for (; k0 + kLanes <= n; k0 += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) visit(j, k0 + j);
+  for (; k0 + L <= n; k0 += L) {
+    for (std::size_t j = 0; j < L; ++j) visit(j, k0 + j);
   }
   for (std::size_t j = 0; k0 + j < n; ++j) visit(j, k0 + j);
   Pick first{kFloor, n};
   std::size_t winner = 0;
-  for (std::size_t j = 0; j < kLanes; ++j) {
+  for (std::size_t j = 0; j < L; ++j) {
     const Pick lane{best[j], best_at[j]};
     if (Precedes(lane, first)) {
       first = lane;
@@ -160,7 +160,7 @@ TopTwo TopTwoOfSum(const double* x, const double* y, std::size_t n) {
   // The runner-up is the first maximum over every k but best_k: the
   // winning lane's second pick or another lane's first.
   Pick runner_up{kFloor, n};
-  for (std::size_t j = 0; j < kLanes; ++j) {
+  for (std::size_t j = 0; j < L; ++j) {
     const Pick lane = j == winner ? Pick{second[j], second_at[j]}
                                   : Pick{best[j], best_at[j]};
     if (Precedes(lane, runner_up)) runner_up = lane;
@@ -169,13 +169,95 @@ TopTwo TopTwoOfSum(const double* x, const double* y, std::size_t n) {
 }
 
 // Row i's responsibilities from its availabilities a and similarities s.
+template <std::size_t L>
 void UpdateResponsibilityRow(const double* s, const double* a,
                              std::size_t n, double damping, double* r) {
-  const TopTwo top = TopTwoOfSum(a, s, n);
+  const TopTwo top = TopTwoOfSum<L>(a, s, n);
   DampResponsibilities(s, top.best, 0, top.best_k, damping, r);
   DampResponsibilities(s, top.second, top.best_k, top.best_k + 1, damping,
                        r);
   DampResponsibilities(s, top.best, top.best_k + 1, n, damping, r);
+}
+
+// The n×n messages and the per-iteration vectors one run passes between
+// its passes.
+struct Messages {
+  const double* s;
+  double* r;
+  double* a;
+  double* colsum;  // sum over i != k of max(0, r(i,k))
+  double* rdiag;   // r(k,k) at the start of the sweep
+  int* exemplars;
+  std::size_t n;
+  double damping;
+};
+
+// The column-sum pass over columns [k0, k1).
+void ColumnSumPass(const Messages& m, std::size_t k0, std::size_t k1) {
+  std::fill(m.colsum + k0, m.colsum + k1, 0.0);
+  for (std::size_t i = 0; i < m.n; ++i) {
+    const double* rrow = m.r + i * m.n;
+    AddPositive(rrow, k0, std::clamp(i, k0, k1), m.colsum);
+    AddPositive(rrow, std::clamp(i + 1, k0, k1), k1, m.colsum);
+  }
+  for (std::size_t k = k0; k < k1; ++k) m.rdiag[k] = m.r[k * m.n + k];
+}
+
+// The row sweep over rows [begin, end). With `elect`, it updates row i's
+// availabilities and elects its exemplar; with `respond`, it then computes
+// the row's next responsibilities while the row is in cache.
+template <std::size_t L>
+void RowSweep(const Messages& m, bool elect, bool respond,
+              std::size_t begin, std::size_t end) {
+  const std::size_t n = m.n;
+  const double d = m.damping;
+  for (std::size_t i = begin; i < end; ++i) {
+    double* arow = m.a + i * n;
+    double* rrow = m.r + i * n;
+    if (elect) {
+      DampAvailabilities(rrow, m.colsum, m.rdiag, 0, i, d, arow);
+      arow[i] = d * arow[i] + (1 - d) * m.colsum[i];
+      DampAvailabilities(rrow, m.colsum, m.rdiag, i + 1, n, d, arow);
+      const std::size_t best_k = ArgmaxOfSum<L>(arow, rrow, n);
+      m.exemplars[i] = static_cast<int>(best_k == n ? i : best_k);
+    }
+    if (respond) UpdateResponsibilityRow<L>(m.s + i * n, arow, n, d, rrow);
+  }
+}
+
+// A kernel set's two passes. The portable set's scans keep 4 lanes; the
+// AVX-512F set's keep 8, one vector of doubles. Its target attribute
+// confines the ISA to its entry points, as in the GEMM core's AVX-512F set,
+// and flatten inlines every helper above into them, so the helpers compile
+// for that ISA too.
+struct SweepKernels {
+  void (*sum_columns)(const Messages&, std::size_t k0, std::size_t k1);
+  void (*sweep_rows)(const Messages&, bool elect, bool respond,
+                     std::size_t begin, std::size_t end);
+};
+
+constexpr SweepKernels kPortable = {&ColumnSumPass, &RowSweep<4>};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+[[gnu::target("avx512f"), gnu::flatten]] void ColumnSumPassAvx512(
+    const Messages& m, std::size_t k0, std::size_t k1) {
+  ColumnSumPass(m, k0, k1);
+}
+[[gnu::target("avx512f"), gnu::flatten]] void RowSweepAvx512(
+    const Messages& m, bool elect, bool respond, std::size_t begin,
+    std::size_t end) {
+  RowSweep<8>(m, elect, respond, begin, end);
+}
+constexpr SweepKernels kAvx512 = {&ColumnSumPassAvx512, &RowSweepAvx512};
+#endif
+
+// The set the GEMM core runs (linalg::GemmKernelName), so one CPU check
+// and one test seam (linalg::internal::ScopedGemmKernel) pick both.
+const SweepKernels& ActiveKernels() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (linalg::GemmKernelName() == "avx512") return kAvx512;
+#endif
+  return kPortable;
 }
 
 // One message-passing run: the exemplar-based assignment (not yet
@@ -189,65 +271,45 @@ struct ApRun {
 };
 
 // Runs message passing with the preference already on s's diagonal.
-// Each iteration is one column-sum pass over r plus one row sweep. The
-// sweep updates row i's availabilities, elects its exemplar, and computes
-// the next iteration's responsibilities while the row is in cache; rows
+// Each iteration is one column-sum pass over r plus one row sweep; rows
 // never read each other's messages, only colsum and the snapshot rdiag.
 // The caller's n×n buffers are reused across probes and zeroed here.
 ApRun RunMessagePassing(const linalg::Matrix& s,
                         const AffinityPropagationConfig& cfg,
                         linalg::Matrix* responsibilities,
                         linalg::Matrix* availabilities) {
+  const SweepKernels& kernels = ActiveKernels();
   const std::size_t n = s.rows();
-  const double damping = cfg.damping;
   linalg::Matrix& r = *responsibilities;
   linalg::Matrix& a = *availabilities;
   r.Fill(0.0);
   a.Fill(0.0);
-  std::vector<double> colsum(n);  // sum over i != k of max(0, r(i,k))
-  std::vector<double> rdiag(n);   // r(k,k) at the start of the sweep
+  std::vector<double> colsum(n);
+  std::vector<double> rdiag(n);
   std::vector<int> exemplars(n);
   std::vector<int> prev_exemplars(n, -1);
+  const Messages m{s.data(),     r.data(),     a.data(),
+                   colsum.data(), rdiag.data(), exemplars.data(),
+                   n,             cfg.damping};
   int stable = 0;
   ApRun run;
 
   // The first iteration's responsibilities (a = 0).
   parallel::ParallelFor(n, kRowGrain, [&](std::size_t begin,
                                           std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      UpdateResponsibilityRow(s.data() + i * n, a.data() + i * n, n, damping,
-                              r.data() + i * n);
-    }
+    kernels.sweep_rows(m, false, true, begin, end);
   });
   for (int iter = 0; iter < cfg.max_iterations; ++iter) {
     run.iterations = iter + 1;
-    const bool last = iter + 1 == cfg.max_iterations;
+    // Nothing reads the responsibilities past the cap.
+    const bool respond = iter + 1 < cfg.max_iterations;
     parallel::ParallelFor(n, kColumnGrain, [&](std::size_t k0,
                                                std::size_t k1) {
-      std::fill(colsum.begin() + k0, colsum.begin() + k1, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* rrow = r.data() + i * n;
-        AddPositive(rrow, k0, std::clamp(i, k0, k1), colsum.data());
-        AddPositive(rrow, std::clamp(i + 1, k0, k1), k1, colsum.data());
-      }
-      for (std::size_t k = k0; k < k1; ++k) rdiag[k] = r(k, k);
+      kernels.sum_columns(m, k0, k1);
     });
     parallel::ParallelFor(n, kRowGrain, [&](std::size_t begin,
                                             std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        double* arow = a.data() + i * n;
-        double* rrow = r.data() + i * n;
-        DampAvailabilities(rrow, colsum.data(), rdiag.data(), 0, i, damping,
-                           arow);
-        arow[i] = damping * arow[i] + (1 - damping) * colsum[i];
-        DampAvailabilities(rrow, colsum.data(), rdiag.data(), i + 1, n,
-                           damping, arow);
-        const std::size_t best_k = ArgmaxOfSum(arow, rrow, n);
-        exemplars[i] = static_cast<int>(best_k == n ? i : best_k);
-        if (!last) {  // nothing reads the responsibilities past the cap
-          UpdateResponsibilityRow(s.data() + i * n, arow, n, damping, rrow);
-        }
-      }
+      kernels.sweep_rows(m, true, respond, begin, end);
     });
     if (exemplars == prev_exemplars) {
       if (++stable >= cfg.convergence_window) {
@@ -298,6 +360,47 @@ ApRun RunMessagePassing(const linalg::Matrix& s,
 }
 
 }  // namespace
+
+namespace internal {
+
+int SearchPreference(double lo, double hi, int n,
+                     const AffinityPropagationConfig& config,
+                     const std::function<PreferenceProbe(double)>& probe) {
+  const int target = config.target_clusters;
+  const int floor_gap = std::abs(n - target);
+  PreferenceProbe best = probe(lo);
+  int best_index = 0;
+  int best_gap = std::abs(best.num_exemplars - target);
+  int lo_exemplars = best.num_exemplars;
+  for (int step = 0; step < config.preference_search_steps && best_gap > 0;
+       ++step) {
+    const double mid = 0.5 * (lo + hi);
+    const PreferenceProbe got = probe(mid);
+    const int gap = std::abs(got.num_exemplars - target);
+    if (gap < best_gap ||
+        (gap == best_gap && got.converged && !best.converged)) {
+      best_gap = gap;
+      best = got;
+      best_index = step + 1;
+    }
+    if (got.num_exemplars > target) {
+      hi = mid;  // too many clusters: make preference more negative
+    } else if (got.num_exemplars < target) {
+      lo = mid;
+      lo_exemplars = got.num_exemplars;
+    } else {
+      break;
+    }
+    // The all-exemplar floor: both ends of the bracket hold every point as
+    // its own exemplar. A later probe that lands there too has the floor's
+    // gap, so it can win only through the converged tie-break.
+    const bool tie_break_open = best_gap == floor_gap && !best.converged;
+    if (lo_exemplars == n && got.num_exemplars == n && !tie_break_open) break;
+  }
+  return best_index;
+}
+
+}  // namespace internal
 
 AffinityPropagation::AffinityPropagation(
     const AffinityPropagationConfig& config)
@@ -354,31 +457,18 @@ ClusteringResult AffinityPropagation::Cluster(const linalg::Matrix& x,
   if (config_.target_clusters <= 0) {
     best_run = run_with_pref(median_sim);
   } else {
-    // Bisection on preference: more negative -> fewer exemplars.
-    double lo = lo_sim * 4.0;              // very few clusters
-    double hi = std::min(hi_sim, -1e-9);   // many clusters
-    ApRun lo_run = run_with_pref(lo);
-    best_run = lo_run;
-    int best_gap = std::abs(lo_run.num_exemplars - config_.target_clusters);
-    for (int step = 0; step < config_.preference_search_steps && best_gap > 0;
-         ++step) {
-      const double mid = 0.5 * (lo + hi);
-      ApRun mid_run = run_with_pref(mid);
-      const int gap =
-          std::abs(mid_run.num_exemplars - config_.target_clusters);
-      if (gap < best_gap ||
-          (gap == best_gap && mid_run.converged && !best_run.converged)) {
-        best_gap = gap;
-        best_run = mid_run;
-      }
-      if (mid_run.num_exemplars > config_.target_clusters) {
-        hi = mid;  // too many clusters: make preference more negative
-      } else if (mid_run.num_exemplars < config_.target_clusters) {
-        lo = mid;
-      } else {
-        break;
-      }
-    }
+    // Bisection on preference: more negative -> fewer exemplars. The
+    // bracket runs from 4× the lowest similarity (very few clusters) to
+    // the highest (many).
+    std::vector<ApRun> runs;
+    const int chosen = internal::SearchPreference(
+        lo_sim * 4.0, std::min(hi_sim, -1e-9), static_cast<int>(n), config_,
+        [&](double pref) {
+          runs.push_back(run_with_pref(pref));
+          return internal::PreferenceProbe{runs.back().num_exemplars,
+                                           runs.back().converged};
+        });
+    best_run = std::move(runs[chosen]);
   }
 
   ClusteringResult result;

@@ -7,8 +7,22 @@
 // default is the median similarity. An optional bisection mode searches a
 // preference that yields a requested cluster count, since the paper's
 // evaluation compares against K-class ground truth.
+//
+// The bisection stops early at the all-exemplar floor, where AP lands when
+// the preference is far below the similarity range: once the bracket's
+// low end and the newest midpoint both return every point as its own
+// exemplar (see internal::SearchPreference).
+//
+// Each iteration is one column-sum pass and one fused row sweep. Both run
+// on the kernel set the GEMM core runs (linalg::GemmKernelName): the
+// AVX-512F set, whose max scans keep 8 lanes, or the portable one with 4.
+// The lane merge returns the serial scan's first maximum at any lane count
+// and the build never fuses a multiply and an add, so both sets give the
+// plain four-pass loop's result bit for bit.
 #ifndef MCIRBM_CLUSTERING_AFFINITY_PROPAGATION_H_
 #define MCIRBM_CLUSTERING_AFFINITY_PROPAGATION_H_
+
+#include <functional>
 
 #include "clustering/clusterer.h"
 
@@ -40,6 +54,30 @@ class AffinityPropagation : public Clusterer {
  private:
   AffinityPropagationConfig config_;
 };
+
+namespace internal {
+
+/// What the preference search reads from one message-passing run.
+struct PreferenceProbe {
+  int num_exemplars = 0;
+  bool converged = false;
+};
+
+/// The preference bisection behind `target_clusters > 0` on n points.
+/// Probes `lo` first, then up to `config.preference_search_steps`
+/// midpoints of [lo, hi], moving `hi` down while a probe yields more
+/// exemplars than the target and `lo` up while it yields fewer. Keeps the
+/// probe closest to the target (the earliest on a tie, unless a later one
+/// converged and it did not) and returns its index in call order. Stops at
+/// the target, or at the all-exemplar floor: when the count at the current
+/// low end and the newest probe's are both n, every later midpoint is
+/// assumed to land there too, so none could come closer; the search goes
+/// on only while such a probe could still win the converged tie-break.
+int SearchPreference(double lo, double hi, int n,
+                     const AffinityPropagationConfig& config,
+                     const std::function<PreferenceProbe(double)>& probe);
+
+}  // namespace internal
 
 }  // namespace mcirbm::clustering
 

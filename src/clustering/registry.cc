@@ -71,11 +71,22 @@ StatusOr<std::unique_ptr<Clusterer>> MakeAffinityPropagation(
   MCIRBM_ASSIGN_OR_RETURN(
       cfg.preference_search_steps,
       p.GetInt("preference_search_steps", cfg.preference_search_steps));
+  if (cfg.target_clusters < 0) {
+    return Status::InvalidArgument(
+        "ap: k must be positive, or 0 for the median preference");
+  }
   if (!(cfg.damping >= 0.5 && cfg.damping < 1.0)) {
     return Status::InvalidArgument("ap: damping must be in [0.5, 1)");
   }
   if (cfg.max_iterations <= 0) {
     return Status::InvalidArgument("ap: max_iterations must be positive");
+  }
+  if (cfg.convergence_window < 1) {
+    return Status::InvalidArgument("ap: convergence_window must be positive");
+  }
+  if (cfg.preference_search_steps < 0) {
+    return Status::InvalidArgument(
+        "ap: preference_search_steps must be non-negative");
   }
   return std::unique_ptr<Clusterer>(new AffinityPropagation(cfg));
 }

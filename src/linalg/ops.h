@@ -15,7 +15,8 @@
 // SquaredDistances (K-means' distances) come from one kernel set, picked
 // once, on first use, from the CPU: AVX-512F where the CPU supports it,
 // else the portable C++ set that every platform compiles. Nothing else
-// selects it.
+// selects it. Affinity propagation's message-passing sweep follows the same
+// choice (it reads GemmKernelName), so it has no CPU probe of its own.
 //
 // Exactness contract: every output element is computed as
 //   c ← 0 (or out(i,j)),  then  c ← c + fl(fl(α·a(i,p))·b(p,j))
@@ -56,17 +57,18 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c);
 void AccumulateGemmTransA(double alpha, const Matrix& a, const Matrix& b,
                           Matrix* out);
 
-/// The kernel set the GEMM core and SquaredDistances run: "avx512" or
-/// "portable".
+/// The kernel set the GEMM core, SquaredDistances and affinity
+/// propagation's sweep run: "avx512" or "portable".
 std::string_view GemmKernelName();
 
 namespace internal {
 /// Every kernel set this CPU can run, widest first; "portable" is last.
 std::vector<std::string_view> SupportedGemmKernels();
 
-/// While alive, the GEMM core, its packers and SquaredDistances run the
-/// named set (one of SupportedGemmKernels()) instead of the widest. A test
-/// seam for checking each set; scopes must not overlap.
+/// While alive, the GEMM core, its packers, SquaredDistances and affinity
+/// propagation's sweep run the named set (one of SupportedGemmKernels())
+/// instead of the widest. A test seam for checking each set; scopes must
+/// not overlap.
 class ScopedGemmKernel {
  public:
   explicit ScopedGemmKernel(std::string_view name);

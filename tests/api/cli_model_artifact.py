@@ -6,9 +6,11 @@ Generates the uci:0 set, trains a grbm, and checks that the saved file is
 `transform` reads it. Then each of these must fail with exit code 1 (not
 an abort) and the expected message:
   - a truncated model file;
-  - a bare `mcirbm-rbm v1` payload, a file of an unknown kind, and a
-    retired `mcirbm-stack v1` manifest (with its sidecar present);
-  - `eval --clusterer nonexistent`;
+  - a bare `mcirbm-rbm v1` payload, a file of an unknown kind, a grbm
+    payload under `kind: rbm`, and a retired `mcirbm-stack v1` manifest
+    (with its sidecar present);
+  - `eval --clusterer nonexistent`, and `eval --clusterer ap` with a
+    negative `--k`;
   - `train`, `pipeline` and `dataset convert` writing to /dev/full, whose
     few bytes reach the device only at the final flush (skipped where
     /dev/full does not exist).
@@ -87,6 +89,10 @@ def main():
         write(work, "banana.txt", "mcirbm-model v1\nkind: banana\n" + payload)
         expect_error("unknown kind", "unknown model kind 'banana'",
                      *transform("banana.txt"))
+        write(work, "relabeled.txt", "mcirbm-model v1\nkind: rbm\n" + payload)
+        expect_error("grbm payload under kind: rbm",
+                     "relabeled.txt: payload family 'grbm' does not match "
+                     "kind 'rbm'", *transform("relabeled.txt"))
         write(work, "stack.txt", "mcirbm-stack v1\n1\ngrbm linear .layer0\n")
         write(work, "stack.txt.layer0", payload)
         expect_error("stack manifest", "bad model magic",
@@ -94,6 +100,9 @@ def main():
         expect_error("unknown clusterer", "unknown clusterer 'nonexistent'",
                      "eval", "--data", "data.csv", "--clusterer",
                      "nonexistent")
+        expect_error("negative ap k", "ap: k must be positive",
+                     "eval", "--data", "data.csv", "--clusterer", "ap",
+                     "--k", "-3", "--standardize")
 
         if os.path.exists("/dev/full"):
             expect_error("train --out /dev/full", "IO_ERROR",
@@ -111,7 +120,7 @@ def main():
     if failures:
         sys.exit("FAIL:\n  " + "\n  ".join(failures))
     print("PASS one-file model artifact written and read; malformed, "
-          "retired and unwritable cases exit 1")
+          "mislabeled, retired, invalid and unwritable cases exit 1")
 
 
 if __name__ == "__main__":

@@ -204,6 +204,44 @@ TEST_F(ModelLoadErrorTest, UnknownKindsAndOtherFormatsRejected) {
   }
 }
 
+// The 'kind:' entry and each payload's stored name must agree on the
+// family: a grbm payload under 'kind: rbm' would otherwise load, report
+// rbm and transform as a GRBM. The error names the offending layer.
+TEST_F(ModelLoadErrorTest, PayloadFamilyMustMatchItsKind) {
+  const auto payload = [](const char* name) {
+    return std::string("mcirbm-rbm v1\n") + name +
+           "\n2 2\na: 0 0\nb: 0 0\nW:\n1 2\n3 4\n";
+  };
+  const struct {
+    std::string contents;
+    std::string expected;
+  } cases[] = {
+      {"mcirbm-model v1\nkind: rbm\n" + payload("grbm"),
+       path_ + ": payload family 'grbm' does not match kind 'rbm'"},
+      {"mcirbm-model v1\nkind: sls-grbm\n" + payload("sls-rbm"),
+       path_ + ": payload family 'rbm' does not match kind 'sls-grbm'"},
+      {"mcirbm-model v1\nkind: grbm,rbm\n" + payload("grbm") +
+           payload("sls-grbm"),
+       path_ + " layer 1: payload family 'grbm' does not match kind 'rbm'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.contents);
+    WriteFile(c.contents);
+    auto model = Model::Load(path_);
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.status().code(), StatusCode::kParseError);
+    EXPECT_NE(model.status().message().find(c.expected), std::string::npos)
+        << model.status().ToString();
+  }
+  // Within a family the kind may name the sls variant of a plain payload
+  // and the other way round: both transform the same.
+  WriteFile("mcirbm-model v1\nkind: sls-grbm,rbm\n" + payload("grbm") +
+            payload("sls-rbm"));
+  auto model = Model::Load(path_);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(model.value().kind(), "sls-grbm,rbm");
+}
+
 TEST_F(ModelLoadErrorTest, NewerFormatVersionRejected) {
   WriteFile("mcirbm-model v999\nkind: rbm\n");
   auto model = Model::Load(path_);

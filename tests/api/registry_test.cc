@@ -78,6 +78,8 @@ TEST(ClustererRegistryTest, OutOfRangeValuesRejectedAtCreate) {
   };
   const Case cases[] = {
       {"ap", "max_iterations", "0"},  {"ap", "damping", "nan"},
+      {"ap", "k", "-3"},              {"ap", "convergence_window", "0"},
+      {"ap", "preference_search_steps", "-1"},
       {"kmeans", "max_iterations", "0"},
       {"dp", "dc_percentile", "0"},   {"dp", "dc_percentile", "150"},
       {"dbscan", "eps_quantile", "150"},

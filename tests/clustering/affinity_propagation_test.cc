@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "clustering/partition.h"
@@ -176,9 +178,11 @@ ClusteringResult ReferenceCluster(const linalg::Matrix& x,
   if (cfg.target_clusters <= 0) {
     best_run = run_with_pref(median_sim);
   } else {
+    const int all = static_cast<int>(n);
     double lo = lo_sim * 4.0;
     double hi = std::min(hi_sim, -1e-9);
     best_run = run_with_pref(lo);
+    int lo_exemplars = best_run.num_exemplars;
     int best_gap = std::abs(best_run.num_exemplars - cfg.target_clusters);
     for (int step = 0; step < cfg.preference_search_steps && best_gap > 0;
          ++step) {
@@ -194,7 +198,16 @@ ClusteringResult ReferenceCluster(const linalg::Matrix& x,
         hi = mid;
       } else if (mid_run.num_exemplars < cfg.target_clusters) {
         lo = mid;
+        lo_exemplars = mid_run.num_exemplars;
       } else {
+        break;
+      }
+      // Stop at the all-exemplar floor unless a probe there could still
+      // win the converged tie-break.
+      const bool tie_break_open =
+          best_gap == all - cfg.target_clusters && !best_run.converged;
+      if (lo_exemplars == all && mid_run.num_exemplars == all &&
+          !tie_break_open) {
         break;
       }
     }
@@ -224,7 +237,16 @@ ClusteringResult ExpectMatchesReference(const linalg::Matrix& x,
   return got;
 }
 
-TEST(AffinityPropagationTest, MatchesReferenceLoopExactly) {
+// The exactness cases run under each kernel set the CPU supports: the
+// sweep follows the GEMM core's set, whose scans keep 8 lanes on AVX-512F
+// and 4 on the portable set.
+class AffinityPropagationReferenceTest
+    : public ::testing::TestWithParam<std::string_view> {
+ protected:
+  linalg::internal::ScopedGemmKernel kernel_{GetParam()};
+};
+
+TEST_P(AffinityPropagationReferenceTest, MatchesReferenceLoopExactly) {
   // Sizes that are not multiples of the scan lanes or the shard grains.
   for (const int n : {2, 3, 5, 131}) {
     const auto d = Blobs(std::min(n, 3), n, 4.0, 40 + n);
@@ -237,7 +259,7 @@ TEST(AffinityPropagationTest, MatchesReferenceLoopExactly) {
   }
 }
 
-TEST(AffinityPropagationTest, MatchesReferenceWhenTheCapIsHit) {
+TEST_P(AffinityPropagationReferenceTest, MatchesReferenceWhenTheCapIsHit) {
   const auto d = Blobs(3, 131, 2.0, 8);
   for (const int cap : {1, 2, 9}) {
     for (const int target : {0, 3}) {
@@ -252,7 +274,7 @@ TEST(AffinityPropagationTest, MatchesReferenceWhenTheCapIsHit) {
   }
 }
 
-TEST(AffinityPropagationTest, MatchesReferenceOnExactTies) {
+TEST_P(AffinityPropagationReferenceTest, MatchesReferenceOnExactTies) {
   // Five points, each repeated seven times, at a scale where the 1e-12
   // jitter is below one ulp of every nonzero similarity: duplicate
   // columns then tie exactly, so the scans' first-index rule decides.
@@ -268,6 +290,73 @@ TEST(AffinityPropagationTest, MatchesReferenceOnExactTies) {
     cfg.target_clusters = target;
     ExpectMatchesReference(x, cfg, 11);
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelSets, AffinityPropagationReferenceTest,
+    ::testing::ValuesIn(linalg::internal::SupportedGemmKernels()),
+    [](const auto& info) { return std::string(info.param); });
+
+// Drives internal::SearchPreference with a scripted exemplar count per
+// probe and counts the probes it runs.
+struct ScriptedProbes {
+  std::vector<internal::PreferenceProbe> script;
+  std::size_t calls = 0;
+};
+
+int Search(int n, int target, ScriptedProbes* probes) {
+  AffinityPropagationConfig cfg;
+  cfg.target_clusters = target;
+  return internal::SearchPreference(-140.0, -1e-9, n, cfg, [probes](double) {
+    return probes->script.at(probes->calls++);
+  });
+}
+
+TEST(AffinityPropagationSearchTest, StopsAtTheAllExemplarFloor) {
+  // Binarized QB (1055 points, k = 2): the low end already returns every
+  // point as an exemplar, and the count jumps from 14 straight back to
+  // 1055. Once the newest midpoint lands there too, the bracket holds
+  // nothing better: stop after 5 probes and keep the 14.
+  ScriptedProbes probes;
+  for (int count : {1055, 26, 17, 14, 1055, 1055, 1055, 1055, 1055, 1055,
+                    1055, 1055, 1055}) {
+    probes.script.push_back({count, true});
+  }
+  EXPECT_EQ(Search(1055, 2, &probes), 3);
+  EXPECT_EQ(probes.calls, 5u);
+}
+
+TEST(AffinityPropagationSearchTest, FloorIsJudgedAtTheCurrentLowEnd) {
+  // The first probe sits on the floor, but a midpoint with too few
+  // exemplars then becomes the low end. A later floor probe closes no
+  // bracket, so the search goes on and hits the target.
+  ScriptedProbes probes;
+  probes.script = {{50, true}, {1, true}, {50, true}, {3, true}};
+  EXPECT_EQ(Search(50, 3, &probes), 3);
+  EXPECT_EQ(probes.calls, 4u);
+}
+
+TEST(AffinityPropagationSearchTest, KeepsSearchingAboveTheFloor) {
+  // Binarized SC-like (uci:3, 540 points, k = 2): no probe returns all
+  // 540, so the rule never fires. Every step runs, and the first 9 wins
+  // the tie with the later ones.
+  ScriptedProbes probes;
+  for (int count : {10, 20, 13, 11, 10, 9, 9, 10, 10, 10, 9, 9, 10}) {
+    probes.script.push_back({count, true});
+  }
+  EXPECT_EQ(Search(540, 2, &probes), 5);
+  EXPECT_EQ(probes.calls, 13u);
+}
+
+TEST(AffinityPropagationSearchTest, FloorWaitsForTheConvergedTieBreak) {
+  // Every probe lands on the floor. While the kept probe has not
+  // converged, a later converged one would replace it, so the search runs
+  // on until one converges and stops right after.
+  ScriptedProbes probes;
+  probes.script = {{50, false}, {50, false}, {50, false}, {50, true},
+                   {50, true}};
+  EXPECT_EQ(Search(50, 2, &probes), 3);
+  EXPECT_EQ(probes.calls, 4u);
 }
 
 TEST(AffinityPropagationTest, RecoversWellSeparatedBlobs) {

@@ -20,11 +20,14 @@
 
 #include "api/api.h"
 #include "data/io.h"
+#include "data/loaders.h"
+#include "data/source.h"
 #include "data/synthetic.h"
 #include "net/client.h"
 #include "net/text_endpoint.h"
 #include "serve/executor.h"
 #include "serve/router.h"
+#include "util/mutex.h"
 #include "util/string_util.h"
 
 namespace mcirbm::net {
@@ -254,18 +257,47 @@ TEST_F(LineServerTest, MalformedLineAnswersErrorAndKeepsConnection) {
   EXPECT_EQ(snapshot.counters.at({"net_requests_total", ""}), 2u);
 }
 
-TEST_F(LineServerTest, DuplicateInFlightIdRejectedThenReusable) {
-  // One handler, with several expensive evaluates queued ahead of id=b:
-  // the reader burns microseconds per line while the handler owes tens
-  // of milliseconds of clustering work, so id=b is still in flight when
-  // the duplicate line arrives — even on a loaded single-core machine.
-  StartServer(/*handler_threads=*/1);
-  Client client = ConnectClient();
-  constexpr int kPadding = 8;
-  for (int i = 0; i < kPadding; ++i) {
-    ASSERT_TRUE(
-        client.SendLine(EvaluateRequest(" id=q" + std::to_string(i))).ok());
+// Loads through the "net_gate:" scheme wait until the gate opens, so a
+// request that reads one holds its handler for as long as a test needs.
+Mutex g_gate_mu;
+CondVar g_gate_cv;
+bool g_gate_open MCIRBM_GUARDED_BY(g_gate_mu) = true;
+
+void SetGate(bool open) {
+  MutexLock lock(g_gate_mu);
+  g_gate_open = open;
+  g_gate_cv.NotifyAll();
+}
+
+StatusOr<std::unique_ptr<data::DataSource>> GatedLoad(
+    const std::string&, const data::DataSourceConfig& config) {
+  {
+    MutexLock lock(g_gate_mu);
+    while (!g_gate_open) g_gate_cv.Wait(g_gate_mu);
   }
+  return data::MakeInMemorySource(TestDataset(), config);
+}
+
+// Opens the gate when the test body ends, however it ends, so the held
+// handler lets the server drain.
+struct GateOpener {
+  ~GateOpener() { SetGate(true); }
+};
+
+TEST_F(LineServerTest, DuplicateInFlightIdRejectedThenReusable) {
+  static const bool registered =
+      data::DataLoaderRegistry::Global().Register("net_gate", GatedLoad).ok();
+  ASSERT_TRUE(registered);
+  // The one handler holds id=q on a closed gate, so id=b waits in the
+  // queue behind it until the duplicate line has been rejected.
+  StartServer(/*handler_threads=*/1);
+  SetGate(false);
+  const GateOpener opener;
+  Client client = ConnectClient();
+  ASSERT_TRUE(client
+                  .SendLine("op=transform model=" + model_path_ +
+                            " data=net_gate:held id=q")
+                  .ok());
   ASSERT_TRUE(client.SendLine("op=stats id=b").ok());
   ASSERT_TRUE(client.SendLine("op=stats id=b").ok());
   // The rejection is written inline by the reader, ahead of every queued
@@ -274,10 +306,9 @@ TEST_F(LineServerTest, DuplicateInFlightIdRejectedThenReusable) {
   ASSERT_TRUE(ReadResponse(&client, &response).ok());
   EXPECT_EQ(response.rfind("error id=b", 0), 0u) << response;
   EXPECT_NE(response.find("duplicate id"), std::string::npos) << response;
-  for (int i = 0; i < kPadding; ++i) {
-    ASSERT_TRUE(ReadResponse(&client, &response).ok());
-    EXPECT_EQ(Token(response, "id"), "q" + std::to_string(i));
-  }
+  SetGate(true);
+  ASSERT_TRUE(ReadResponse(&client, &response).ok());
+  EXPECT_EQ(response.rfind("ok id=q op=transform", 0), 0u) << response;
   ASSERT_TRUE(ReadResponse(&client, &response).ok());
   EXPECT_EQ(Token(response, "id"), "b");
   // Once answered, the id is free again.
