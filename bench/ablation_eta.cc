@@ -47,7 +47,7 @@ void SweepEta(bool grbm, const data::Dataset& full) {
     cfg.sls.eta = eta;
     cfg.sls.supervision_scale = 1000.0;
     cfg.supervision.num_clusters = ds.num_classes * 3;
-    const auto result = core::RunEncoderPipeline(x, cfg, 11);
+    const auto result = core::TryRunEncoderPipeline(x, cfg, 11).value();
     std::cout << "  " << FormatDouble(eta, 2) << "   "
               << PadLeft(FormatDouble(
                              KmeansAccuracy(result.hidden_features,

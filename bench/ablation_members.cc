@@ -63,7 +63,8 @@ void RunDataset(const data::Dataset& full) {
   std::cout << "\ndataset " << ds.name << "\n";
   std::cout << "  member set               coverage  purity   acc(hidden)\n";
   for (const auto& row : rows) {
-    const auto sup = core::ComputeSelfLearningSupervision(x, row.config, 5);
+    const auto sup =
+        core::TryComputeSelfLearningSupervision(x, row.config, 5).value();
     std::vector<int> truth, pred;
     for (std::size_t i = 0; i < sup.cluster_of.size(); ++i) {
       if (sup.cluster_of[i] >= 0) {

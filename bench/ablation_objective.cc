@@ -27,7 +27,7 @@ double RunVariant(const linalg::Matrix& x, const std::vector<int>& labels,
   cfg.rbm.learning_rate = 1e-4;
   cfg.sls = sls;
   cfg.supervision.num_clusters = num_classes * 3;
-  const auto result = core::RunEncoderPipeline(x, cfg, 13);
+  const auto result = core::TryRunEncoderPipeline(x, cfg, 13).value();
   clustering::KMeansConfig km;
   km.k = num_classes;
   return metrics::ClusteringAccuracy(

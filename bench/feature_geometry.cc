@@ -101,14 +101,14 @@ void RunDataset(const data::Dataset& full, bool grbm) {
   core::PipelineConfig plain_cfg;
   plain_cfg.model = grbm ? core::ModelKind::kGrbm : core::ModelKind::kRbm;
   plain_cfg.rbm = paper.rbm;
-  const auto plain = core::RunEncoderPipeline(x, plain_cfg, 7);
+  const auto plain = core::TryRunEncoderPipeline(x, plain_cfg, 7).value();
 
   core::PipelineConfig sls_cfg = plain_cfg;
   sls_cfg.model = grbm ? core::ModelKind::kSlsGrbm : core::ModelKind::kSlsRbm;
   sls_cfg.sls = paper.sls;
   sls_cfg.supervision = paper.supervision;
   sls_cfg.supervision.num_clusters = ds.num_classes;
-  const auto sls = core::RunEncoderPipeline(x, sls_cfg, 7);
+  const auto sls = core::TryRunEncoderPipeline(x, sls_cfg, 7).value();
   const voting::LocalSupervision& sup = sls.supervision;
 
   std::cout << "\ndataset " << ds.name << " ("

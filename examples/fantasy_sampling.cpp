@@ -13,8 +13,8 @@
 #include <iomanip>
 #include <iostream>
 
-#include "api/api.h"
 #include "linalg/matrix.h"
+#include "rbm/rbm.h"
 #include "rbm/sampling.h"
 #include "rng/rng.h"
 
@@ -57,23 +57,18 @@ int main() {
   std::cout << "data: 200 samples of a two-template 16-bit distribution "
                "(5% flip noise)\n";
 
-  // Build the encoder by name through the model registry — the same
-  // string-keyed seam the CLI and config files use.
-  const ParamMap params = {{"visible", "16"},     {"hidden", "12"},
-                           {"lr", "0.1"},         {"epochs", "200"},
-                           {"batch_size", "20"},  {"momentum", "0.5"},
-                           // Hinton's two-stage schedule:
-                           {"momentum_final", "0.9"},
-                           {"weight_decay", "0"}, {"seed", "11"}};
-  auto model_or = api::ModelRegistry::Global().Create("rbm", params);
-  if (!model_or.ok()) {
-    std::cerr << "model construction failed: "
-              << model_or.status().ToString() << "\n";
-    return 1;
-  }
-  const std::unique_ptr<rbm::RbmBase> model_ptr =
-      std::move(model_or).value();
-  rbm::RbmBase& model = *model_ptr;
+  // A plain binary RBM, built directly: sampling needs no pipeline.
+  rbm::RbmConfig config;
+  config.num_visible = 16;
+  config.num_hidden = 12;
+  config.learning_rate = 0.1;
+  config.epochs = 200;
+  config.batch_size = 20;
+  config.momentum = 0.5;
+  config.momentum_final = 0.9;  // Hinton's two-stage schedule
+  config.weight_decay = 0;
+  config.seed = 11;
+  rbm::Rbm model(config);
   const auto history = model.Train(x);
   std::cout << "trained RBM: reconstruction error "
             << history.front().reconstruction_error << " -> "

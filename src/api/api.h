@@ -2,10 +2,11 @@
 //
 // The api module is the single entry point consumers should need:
 //
-//   - clustering::ClustererRegistry / api::ModelRegistry — string-keyed
-//     component factories (clustering/registry.h, api/model_registry.h);
-//   - api::Model — versioned Train/Save/Load/Transform/Evaluate artifact
-//     (api/model.h);
+//   - clustering::ClustererRegistry — the string-keyed clusterer factory
+//     (clustering/registry.h);
+//   - api::Model — versioned Train/Save/Load/Transform/Evaluate artifact,
+//     and the model names (rbm|grbm|sls-rbm|sls-grbm) its `kind:` line,
+//     the `model` config key and the CLI share (api/model.h);
 //   - api::ParseConfig / api::ParsePipelineSpec / api::RunPipeline —
 //     key=value configuration and the one-shot pipeline (api/config.h).
 //
@@ -16,7 +17,6 @@
 
 #include "api/config.h"
 #include "api/model.h"
-#include "api/model_registry.h"
 #include "clustering/registry.h"
 #include "core/pipeline.h"
 #include "util/param_map.h"

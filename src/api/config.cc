@@ -5,7 +5,6 @@
 
 #include <algorithm>
 
-#include "api/model_registry.h"
 #include "clustering/registry.h"
 #include "data/io.h"
 #include "data/loaders.h"
@@ -250,6 +249,19 @@ StatusOr<core::PipelineConfig> ParseConfig(const std::string& text,
   return base;
 }
 
+core::PipelineConfig PaperPipelineConfig(core::ModelKind kind) {
+  const bool grbm_family = kind == core::ModelKind::kGrbm ||
+                           kind == core::ModelKind::kSlsGrbm;
+  const eval::ExperimentConfig paper = eval::MakePaperConfig(grbm_family);
+  core::PipelineConfig config;
+  config.model = kind;
+  config.rbm = paper.rbm;
+  config.sls = paper.sls;
+  config.supervision = paper.supervision;
+  config.supervision.num_clusters = 0;
+  return config;
+}
+
 StatusOr<PipelineSpec> ParsePipelineSpec(const std::string& text) {
   auto entries_or = Tokenize(text);
   if (!entries_or.ok()) return entries_or.status();
@@ -264,17 +276,8 @@ StatusOr<PipelineSpec> ParsePipelineSpec(const std::string& text) {
     if (!parsed.ok()) return AtLine(e.line, parsed.status());
     kind = parsed.value();
   }
-  const bool grbm_family = kind == core::ModelKind::kGrbm ||
-                           kind == core::ModelKind::kSlsGrbm;
-  const eval::ExperimentConfig paper = eval::MakePaperConfig(grbm_family);
-
   PipelineSpec spec;
-  spec.config.model = kind;
-  spec.config.rbm = paper.rbm;
-  spec.config.sls = paper.sls;
-  spec.config.supervision = paper.supervision;
-  // 0 = "derive from the dataset's class count" at run time.
-  spec.config.supervision.num_clusters = 0;
+  spec.config = PaperPipelineConfig(kind);
 
   for (const ConfigEntry& e : entries) {
     Status status = ApplySpecKey(e, &spec);
@@ -421,16 +424,8 @@ StatusOr<PipelineRunSummary> RunPipeline(const PipelineSpec& spec) {
   if (transform == "auto") {
     transform = grbm_family ? "standardize" : "minmax";
   }
-  if (transform == "standardize") {
-    data::StandardizeInPlace(&x);
-  } else if (transform == "minmax") {
-    data::MinMaxScaleInPlace(&x);
-  } else if (transform == "binarize") {
-    data::MinMaxScaleInPlace(&x);
-    data::BinarizeAtColumnMeanInPlace(&x);
-  } else if (transform != "none") {
-    return Status::InvalidArgument("unknown transform '" + transform + "'");
-  }
+  const Status transformed = data::ApplyTransform(transform, &x);
+  if (!transformed.ok()) return transformed;
 
   // 3. Train through the facade.
   core::PipelineConfig config = spec.config;

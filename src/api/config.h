@@ -50,6 +50,12 @@ namespace mcirbm::api {
 StatusOr<core::PipelineConfig> ParseConfig(const std::string& text,
                                            core::PipelineConfig base = {});
 
+/// The base config of a `kind` run: the paper's hyper-parameters for its
+/// family (eval::MakePaperConfig), with supervision.clusters 0 = "the
+/// dataset's class count". ParsePipelineSpec and the CLI's `train` parse
+/// their keys over it.
+core::PipelineConfig PaperPipelineConfig(core::ModelKind kind);
+
 /// A fully resolved one-shot pipeline run: dataset source, preprocessing,
 /// encoder configuration, outputs, and evaluation settings.
 struct PipelineSpec {
@@ -80,8 +86,7 @@ struct PipelineSpec {
 };
 
 /// Parses a full run spec. The `model` key (default sls-grbm) selects the
-/// paper's family hyper-parameters as the base config, exactly as the CLI
-/// `train` subcommand does; every other key then overrides that base.
+/// PaperPipelineConfig base; every other key then overrides that base.
 StatusOr<PipelineSpec> ParsePipelineSpec(const std::string& text);
 
 /// ParsePipelineSpec over the contents of `path`.

@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "api/model_registry.h"
 #include "clustering/registry.h"
 #include "rbm/serialize.h"
 #include "util/check.h"
@@ -41,6 +40,14 @@ class DataSourceAdapter final : public rbm::TrainingDataSource {
   const data::DataSource& source_;
 };
 
+// Each ModelKind's name, in enum order.
+constexpr std::pair<core::ModelKind, const char*> kKindNames[] = {
+    {core::ModelKind::kRbm, "rbm"},
+    {core::ModelKind::kGrbm, "grbm"},
+    {core::ModelKind::kSlsRbm, "sls-rbm"},
+    {core::ModelKind::kSlsGrbm, "sls-grbm"},
+};
+
 constexpr char kMagicPrefix[] = "mcirbm-model v";
 
 // Parses "mcirbm-model v<N>" into N; ParseError for anything else.
@@ -68,6 +75,27 @@ StatusOr<int> ParseModelVersion(const std::string& line,
 
 }  // namespace
 
+const char* ModelKindRegistryName(core::ModelKind kind) {
+  for (const auto& entry : kKindNames) {
+    if (entry.first == kind) return entry.second;
+  }
+  return "?";
+}
+
+StatusOr<core::ModelKind> ModelKindFromName(const std::string& name) {
+  for (const auto& entry : kKindNames) {
+    if (name == entry.second) return entry.first;
+  }
+  return Status::NotFound("unknown model '" + name + "' (" +
+                          ModelNames() + ")");
+}
+
+std::string ModelNames() {
+  std::vector<std::string> names;
+  for (const auto& entry : kKindNames) names.push_back(entry.second);
+  return Join(names, "|");
+}
+
 StatusOr<Model> Model::FromPipeline(StatusOr<core::PipelineResult> result,
                                     core::ModelKind kind) {
   if (!result.ok()) return result.status();
@@ -83,7 +111,10 @@ StatusOr<Model> Model::FromPipeline(StatusOr<core::PipelineResult> result,
 StatusOr<Model> Model::Train(const linalg::Matrix& x,
                              const core::PipelineConfig& config,
                              std::uint64_t seed) {
-  return FromPipeline(core::TryRunEncoderPipeline(x, config, seed),
+  // The source form skips the pipeline's feature pass: a Model keeps only
+  // the encoder, and callers that want features call Transform.
+  return FromPipeline(core::TryRunEncoderPipelineFromSource(
+                          rbm::MatrixTrainingSource(x), config, seed),
                       config.model);
 }
 

@@ -18,7 +18,7 @@
 //   <rbm/serialize.h payload of layer 0>
 //   <payload of layer 1> ...
 //
-// Each kind is a registry model name (api/model_registry.h), and the kind
+// Each kind is a model name (ModelKindRegistryName below), and the kind
 // list fixes the layer count, so a file cut at a layer boundary does not
 // load as a shorter stack. Bare "mcirbm-rbm v1" payloads, unsupported
 // versions, unknown kinds, truncated payloads, and layers whose widths do
@@ -40,6 +40,17 @@
 #include "util/status.h"
 
 namespace mcirbm::api {
+
+/// The name of a ModelKind: "rbm", "grbm", "sls-rbm" or "sls-grbm". It is
+/// the artifact's `kind:` entry, the `model` config key's value and the
+/// CLI's --model value.
+const char* ModelKindRegistryName(core::ModelKind kind);
+
+/// The ModelKind named `name`; NotFound for any other name.
+StatusOr<core::ModelKind> ModelKindFromName(const std::string& name);
+
+/// Every model name, '|'-separated, in ModelKind order.
+std::string ModelNames();
 
 /// The api::Model wrapper magic line ("mcirbm-model v1").
 extern const char kModelMagic[];
@@ -137,7 +148,7 @@ class Model {
   /// False for a default-constructed (empty) model.
   bool valid() const { return !layers_.empty(); }
 
-  /// Registry name of each layer's kind, comma-separated ("sls-grbm";
+  /// Name of each layer's kind, comma-separated ("sls-grbm";
   /// "sls-grbm,sls-rbm" for a two-layer stack).
   const std::string& kind() const { return kind_; }
 

@@ -21,7 +21,7 @@ WidthSelection SelectHiddenWidth(const linalg::Matrix& x,
     PipelineConfig candidate_config = config;
     candidate_config.rbm.num_hidden = width;
     const PipelineResult result =
-        RunEncoderPipeline(x, candidate_config, seed);
+        TryRunEncoderPipeline(x, candidate_config, seed).value();
 
     clustering::KMeansConfig km;
     km.k = k;

@@ -7,25 +7,10 @@
 
 #include "clustering/registry.h"
 #include "parallel/thread_pool.h"
-#include "util/check.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace mcirbm::core {
-
-const char* ModelKindName(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kRbm:
-      return "RBM";
-    case ModelKind::kGrbm:
-      return "GRBM";
-    case ModelKind::kSlsRbm:
-      return "slsRBM";
-    case ModelKind::kSlsGrbm:
-      return "slsGRBM";
-  }
-  return "?";
-}
 
 StatusOr<std::vector<VoterSpec>> ParseVoterList(const std::string& text) {
   std::vector<VoterSpec> specs;
@@ -123,14 +108,6 @@ StatusOr<voting::LocalSupervision> TryComputeSelfLearningSupervision(
   return sup;
 }
 
-voting::LocalSupervision ComputeSelfLearningSupervision(
-    const linalg::Matrix& x, const SupervisionConfig& config,
-    std::uint64_t seed) {
-  auto sup = TryComputeSelfLearningSupervision(x, config, seed);
-  MCIRBM_CHECK(sup.ok()) << sup.status().ToString();
-  return std::move(sup).value();
-}
-
 void ApplyParallelConfig(const ParallelConfig& config) {
   if (config.num_threads > 0 &&
       config.num_threads != parallel::NumThreads() &&
@@ -138,6 +115,22 @@ void ApplyParallelConfig(const ParallelConfig& config) {
     parallel::SetNumThreads(config.num_threads);
   }
   parallel::SetDeterministic(config.deterministic);
+}
+
+std::unique_ptr<rbm::RbmBase> MakeEncoder(
+    ModelKind kind, const rbm::RbmConfig& rbm_config, const SlsConfig& sls,
+    const voting::LocalSupervision& supervision) {
+  switch (kind) {
+    case ModelKind::kRbm:
+      return std::make_unique<rbm::Rbm>(rbm_config);
+    case ModelKind::kGrbm:
+      return std::make_unique<rbm::Grbm>(rbm_config);
+    case ModelKind::kSlsRbm:
+      return std::make_unique<SlsRbm>(rbm_config, sls, supervision);
+    case ModelKind::kSlsGrbm:
+      return std::make_unique<SlsGrbm>(rbm_config, sls, supervision);
+  }
+  return nullptr;
 }
 
 namespace {
@@ -179,23 +172,6 @@ Status ValidatePipelineInput(std::size_t rows, std::size_t cols,
   return Status::Ok();
 }
 
-// Instantiates the configured (possibly sls-supervised) encoder.
-std::unique_ptr<rbm::RbmBase> MakeEncoder(
-    const PipelineConfig& config, const rbm::RbmConfig& rbm_config,
-    const voting::LocalSupervision& supervision) {
-  switch (config.model) {
-    case ModelKind::kRbm:
-      return std::make_unique<rbm::Rbm>(rbm_config);
-    case ModelKind::kGrbm:
-      return std::make_unique<rbm::Grbm>(rbm_config);
-    case ModelKind::kSlsRbm:
-      return std::make_unique<SlsRbm>(rbm_config, config.sls, supervision);
-    case ModelKind::kSlsGrbm:
-      return std::make_unique<SlsGrbm>(rbm_config, config.sls, supervision);
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 StatusOr<PipelineResult> TryRunEncoderPipelineFromSource(
@@ -232,7 +208,8 @@ StatusOr<PipelineResult> TryRunEncoderPipelineFromSource(
     result.supervision = std::move(sup).value();
   }
 
-  result.model = MakeEncoder(config, rbm_config, result.supervision);
+  result.model =
+      MakeEncoder(config.model, rbm_config, config.sls, result.supervision);
 
   auto history_or = result.model->TrainFromSource(source);
   if (!history_or.ok()) return history_or.status();
@@ -278,14 +255,6 @@ StatusOr<PipelineResult> TryRunEncoderPipeline(const linalg::Matrix& x,
   PipelineResult result = std::move(trained).value();
   result.hidden_features = result.model->HiddenFeatures(x);
   return result;
-}
-
-PipelineResult RunEncoderPipeline(const linalg::Matrix& x,
-                                  const PipelineConfig& config,
-                                  std::uint64_t seed) {
-  auto result = TryRunEncoderPipeline(x, config, seed);
-  MCIRBM_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
 }
 
 }  // namespace mcirbm::core

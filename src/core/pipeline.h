@@ -31,8 +31,6 @@ enum class ModelKind {
   kSlsGrbm,  ///< paper model for real-valued data
 };
 
-const char* ModelKindName(ModelKind kind);
-
 /// One ordered member of the multi-clustering integration, resolved
 /// against clustering::ClustererRegistry by name.
 struct VoterSpec {
@@ -77,12 +75,6 @@ StatusOr<voting::LocalSupervision> TryComputeSelfLearningSupervision(
     const linalg::Matrix& x, const SupervisionConfig& config,
     std::uint64_t seed);
 
-/// CHECK-aborting wrapper around TryComputeSelfLearningSupervision for
-/// callers with statically valid configs.
-voting::LocalSupervision ComputeSelfLearningSupervision(
-    const linalg::Matrix& x, const SupervisionConfig& config,
-    std::uint64_t seed);
-
 /// Full pipeline configuration.
 struct PipelineConfig {
   ModelKind model = ModelKind::kSlsGrbm;
@@ -92,9 +84,18 @@ struct PipelineConfig {
   ParallelConfig parallel;     ///< execution-engine settings
 };
 
+/// Builds the untrained encoder of `kind`: the one place a ModelKind
+/// becomes a class. The sls kinds train under `sls` and `supervision`;
+/// the plain kinds ignore both. `rbm_config` must already carry
+/// num_visible.
+std::unique_ptr<rbm::RbmBase> MakeEncoder(
+    ModelKind kind, const rbm::RbmConfig& rbm_config, const SlsConfig& sls,
+    const voting::LocalSupervision& supervision);
+
 /// Applies the execution-engine settings to the global thread pool:
 /// resizes it when num_threads > 0 and records the determinism mode.
-/// Idempotent; called by RunEncoderPipeline and the experiment harness.
+/// Idempotent; called by the pipeline entry points and the experiment
+/// harness.
 void ApplyParallelConfig(const ParallelConfig& config);
 
 /// Result of running the pipeline on one dataset.
@@ -128,12 +129,6 @@ StatusOr<PipelineResult> TryRunEncoderPipeline(const linalg::Matrix& x,
 StatusOr<PipelineResult> TryRunEncoderPipelineFromSource(
     const rbm::TrainingDataSource& source, const PipelineConfig& config,
     std::uint64_t seed);
-
-/// CHECK-aborting wrapper around TryRunEncoderPipeline for callers with
-/// statically valid configs.
-PipelineResult RunEncoderPipeline(const linalg::Matrix& x,
-                                  const PipelineConfig& config,
-                                  std::uint64_t seed);
 
 }  // namespace mcirbm::core
 

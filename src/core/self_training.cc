@@ -26,8 +26,10 @@ SelfTrainingResult RunSelfTraining(const linalg::Matrix& x,
 
   for (int round = 0; round < config.rounds; ++round) {
     const std::uint64_t round_seed = seed + 7919ULL * round;
-    voting::LocalSupervision supervision = ComputeSelfLearningSupervision(
-        supervision_input, config.pipeline.supervision, round_seed);
+    voting::LocalSupervision supervision =
+        TryComputeSelfLearningSupervision(
+            supervision_input, config.pipeline.supervision, round_seed)
+            .value();
 
     rbm::RbmConfig rbm_config = config.pipeline.rbm;
     if (rbm_config.num_visible == 0) {
@@ -35,14 +37,9 @@ SelfTrainingResult RunSelfTraining(const linalg::Matrix& x,
     }
     rbm_config.seed = rbm_config.seed ^ round_seed;
 
-    std::unique_ptr<rbm::RbmBase> model;
-    if (config.pipeline.model == ModelKind::kSlsRbm) {
-      model = std::make_unique<SlsRbm>(rbm_config, config.pipeline.sls,
-                                       supervision);
-    } else {
-      model = std::make_unique<SlsGrbm>(rbm_config, config.pipeline.sls,
-                                        supervision);
-    }
+    std::unique_ptr<rbm::RbmBase> model =
+        MakeEncoder(config.pipeline.model, rbm_config, config.pipeline.sls,
+                    supervision);
     const auto history = model->Train(x);
 
     SelfTrainingRound stats;

@@ -33,26 +33,18 @@ std::vector<StackedLayerStats> StackedEncoder::Train(const linalg::Matrix& x,
 
     const bool is_sls = layer.model == ModelKind::kSlsRbm ||
                         layer.model == ModelKind::kSlsGrbm;
-    std::unique_ptr<rbm::RbmBase> model;
     if (is_sls) {
       if (layer.recompute_supervision || !have_supervision) {
-        supervision = ComputeSelfLearningSupervision(
-            input, layer.supervision, seed + 31 * l);
+        supervision = TryComputeSelfLearningSupervision(
+                          input, layer.supervision, seed + 31 * l)
+                          .value();
         have_supervision = true;
       }
       stats[l].supervision_coverage = supervision.Coverage();
       stats[l].supervision_clusters = supervision.num_clusters;
-      if (layer.model == ModelKind::kSlsRbm) {
-        model = std::make_unique<SlsRbm>(rbm_config, layer.sls, supervision);
-      } else {
-        model =
-            std::make_unique<SlsGrbm>(rbm_config, layer.sls, supervision);
-      }
-    } else if (layer.model == ModelKind::kRbm) {
-      model = std::make_unique<rbm::Rbm>(rbm_config);
-    } else {
-      model = std::make_unique<rbm::Grbm>(rbm_config);
     }
+    std::unique_ptr<rbm::RbmBase> model =
+        MakeEncoder(layer.model, rbm_config, layer.sls, supervision);
 
     stats[l].epochs = model->Train(input);
     input = model->HiddenFeatures(input);

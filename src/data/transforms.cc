@@ -64,4 +64,18 @@ void L2NormalizeRowsInPlace(linalg::Matrix* x, double eps) {
   }
 }
 
+Status ApplyTransform(const std::string& name, linalg::Matrix* x) {
+  if (name == "standardize") {
+    StandardizeInPlace(x);
+  } else if (name == "minmax") {
+    MinMaxScaleInPlace(x);
+  } else if (name == "binarize") {
+    MinMaxScaleInPlace(x);
+    BinarizeAtColumnMeanInPlace(x);
+  } else if (name != "none") {
+    return Status::InvalidArgument("unknown transform '" + name + "'");
+  }
+  return Status::Ok();
+}
+
 }  // namespace mcirbm::data

@@ -7,7 +7,10 @@
 #ifndef MCIRBM_DATA_TRANSFORMS_H_
 #define MCIRBM_DATA_TRANSFORMS_H_
 
+#include <string>
+
 #include "linalg/matrix.h"
+#include "util/status.h"
 
 namespace mcirbm::data {
 
@@ -27,6 +30,12 @@ void BinarizeAtColumnMeanInPlace(linalg::Matrix* x);
 
 /// L2-normalizes every row in place (zero rows are left unchanged).
 void L2NormalizeRowsInPlace(linalg::Matrix* x, double eps = 1e-12);
+
+/// Applies the preprocessing named `name` in place: "none" leaves `x` as
+/// it is, "standardize" z-scores, "minmax" scales to [0, 1], and
+/// "binarize" scales to [0, 1] and then binarizes at each column's mean.
+/// InvalidArgument for any other name.
+Status ApplyTransform(const std::string& name, linalg::Matrix* x);
 
 }  // namespace mcirbm::data
 

@@ -137,7 +137,7 @@ DatasetExperimentResult RunDatasetExperiment(const data::Dataset& dataset,
     plain_cfg.rbm = config.rbm;
     plain_cfg.parallel = config.parallel;
     core::PipelineResult plain =
-        core::RunEncoderPipeline(x, plain_cfg, rep_seed);
+        core::TryRunEncoderPipeline(x, plain_cfg, rep_seed).value();
 
     // sls(G)RBM features.
     core::PipelineConfig sls_cfg;
@@ -148,7 +148,8 @@ DatasetExperimentResult RunDatasetExperiment(const data::Dataset& dataset,
     sls_cfg.supervision = config.supervision;
     sls_cfg.parallel = config.parallel;
     sls_cfg.supervision.num_clusters = std::max(2, k);
-    core::PipelineResult sls = core::RunEncoderPipeline(x, sls_cfg, rep_seed);
+    core::PipelineResult sls =
+        core::TryRunEncoderPipeline(x, sls_cfg, rep_seed).value();
     outcomes[rep].coverage = sls.supervision.Coverage();
     outcomes[rep].supervision_clusters = sls.supervision.num_clusters;
 

@@ -73,14 +73,8 @@ RequestExecutor::DatasetCache::Get(const std::string& path,
   auto loaded = data::LoadDataset(path);
   if (!loaded.ok()) return loaded.status();
   data::Dataset ds = std::move(loaded).value();
-  if (transform == "standardize") {
-    data::StandardizeInPlace(&ds.x);
-  } else if (transform == "minmax") {
-    data::MinMaxScaleInPlace(&ds.x);
-  } else if (transform == "binarize") {
-    data::MinMaxScaleInPlace(&ds.x);
-    data::BinarizeAtColumnMeanInPlace(&ds.x);
-  }
+  const Status transformed = data::ApplyTransform(transform, &ds.x);
+  if (!transformed.ok()) return transformed;
   auto shared = std::make_shared<const data::Dataset>(std::move(ds));
   MutexLock lock(mu_);
   // A racing miss inserted the key first: inserting again would evict a

@@ -1,5 +1,6 @@
-// String-keyed parameter bag consumed by the registry factories
-// (clustering::ClustererRegistry, api::ModelRegistry) and api::ParseConfig.
+// String-keyed parameter bag consumed by the clusterer factories
+// (clustering::ClustererRegistry), serve request lines, the CLI's flags and
+// api::ParseConfig.
 //
 // Values are stored as text; the typed getters parse on access and report
 // malformed values through StatusOr instead of aborting, so a bad

@@ -1,5 +1,5 @@
 // Shared machinery for the string-keyed component registries
-// (clustering::ClustererRegistry, api::ModelRegistry): a mutex-guarded
+// (clustering::ClustererRegistry, data::DataLoaderRegistry): a mutex-guarded
 // name -> std::function table with Status-reporting Register/Create and
 // consistent "unknown <noun> 'x' (registered: ...)" diagnostics.
 #ifndef MCIRBM_UTIL_REGISTRY_H_

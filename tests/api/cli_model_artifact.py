@@ -3,8 +3,12 @@
 
 Generates the uci:0 set, trains a grbm, and checks that the saved file is
 `mcirbm-model v1`, `kind: grbm`, then the `mcirbm-rbm v1` payload, and that
-`transform` reads it. Then each of these must fail with exit code 1 (not
-an abort) and the expected message:
+`transform` reads it. `train` takes its hyper-parameters from a --config
+file only: an sls-grbm trained that way must be byte-identical to the
+`pipeline` subcommand's model from the same keys, also when the file sets
+`supervision.clusters = 0` ("the class count"). Then each of these must
+fail with exit code 1 (not an abort) and the expected message:
+  - `train --hidden` and `train --lr`, flags that are gone;
   - a truncated model file;
   - a bare `mcirbm-rbm v1` payload, a file of an unknown kind, a grbm
     payload under `kind: rbm`, and a retired `mcirbm-stack v1` manifest
@@ -18,13 +22,25 @@ an abort) and the expected message:
 Usage: cli_model_artifact.py PATH_TO_MCIRBM_CLI
 """
 
+import filecmp
 import os
 import subprocess
 import sys
 import tempfile
 
 TRAIN = ["train", "--data", "data.csv", "--model", "grbm", "--standardize",
-         "--epochs", "1", "--hidden", "4", "--seed", "3"]
+         "--config", "train.cfg", "--seed", "3"]
+
+TRAIN_CONFIG = """\
+rbm.hidden = 4
+rbm.epochs = 1
+"""
+
+SLS_CONFIG = """\
+model      = sls-grbm
+rbm.hidden = 4
+rbm.epochs = 2
+"""
 
 PIPELINE = """\
 data           = data.csv
@@ -68,9 +84,15 @@ def main():
         return ("transform", "--data", "data.csv", "--model-file",
                 model_file, "--standardize", "--out", "features.csv")
 
+    def expect_same(what, a, b):
+        if not filecmp.cmp(os.path.join(work, a), os.path.join(work, b),
+                           shallow=False):
+            failures.append("%s: %s and %s differ" % (what, a, b))
+
     with tempfile.TemporaryDirectory() as work:
         expect_ok("synth", "--family", "uci", "--index", "0", "--seed", "3",
                   "--out", "data.csv")
+        write(work, "train.cfg", TRAIN_CONFIG)
         expect_ok(*TRAIN, "--out", "model.txt")
         with open(os.path.join(work, "model.txt")) as f:
             model = f.read()
@@ -79,6 +101,24 @@ def main():
             failures.append("model file starts %r" % model[:60])
         payload = model[len(header):]
         expect_ok(*transform("model.txt"))
+
+        sls_train = ("train", "--data", "data.csv", "--standardize",
+                     "--seed", "3", "--config")
+        write(work, "sls.cfg", SLS_CONFIG)
+        expect_ok(*sls_train, "sls.cfg", "--out", "sls_train.txt")
+        write(work, "sls0.cfg", SLS_CONFIG + "supervision.clusters = 0\n")
+        expect_ok(*sls_train, "sls0.cfg", "--out", "sls_train0.txt")
+        expect_same("supervision.clusters = 0", "sls_train.txt",
+                    "sls_train0.txt")
+        write(work, "sls_pipeline.cfg", SLS_CONFIG +
+              "data = data.csv\neval.clusterer = none\n"
+              "out.model = sls_pipeline.txt\n")
+        expect_ok("pipeline", "--config", "sls_pipeline.cfg", "--seed", "3")
+        expect_same("train --config vs pipeline", "sls_train.txt",
+                    "sls_pipeline.txt")
+        for flag, value in (("--hidden", "4"), ("--lr", "0.1")):
+            expect_error("train " + flag, "unknown parameter '%s'" % flag[2:],
+                         *TRAIN, flag, value, "--out", "gone.txt")
 
         write(work, "truncated.txt", model[:len(model) // 2])
         expect_error("truncated model", "PARSE_ERROR",
@@ -119,8 +159,9 @@ def main():
             print("SKIP the /dev/full cases: no /dev/full on this system")
     if failures:
         sys.exit("FAIL:\n  " + "\n  ".join(failures))
-    print("PASS one-file model artifact written and read; malformed, "
-          "mislabeled, retired, invalid and unwritable cases exit 1")
+    print("PASS one-file model artifact written and read; train --config "
+          "matches pipeline; malformed, mislabeled, retired, invalid and "
+          "unwritable cases exit 1")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ TEST_P(ModelRoundTripTest, SaveLoadTransformMatchesInMemoryRun) {
 
   // Reference: the raw core pipeline, bypassing the facade.
   const core::PipelineResult reference =
-      core::RunEncoderPipeline(x_, config, kSeed);
+      core::TryRunEncoderPipeline(x_, config, kSeed).value();
 
   // Facade training must reproduce it bit-for-bit.
   auto trained = Model::Train(x_, config, kSeed);

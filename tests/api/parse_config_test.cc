@@ -249,13 +249,21 @@ TEST_F(ModelLoadErrorTest, NewerFormatVersionRejected) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Each out-of-range hyper-parameter comes back from Model::Train as
+// InvalidArgument before any work starts, never as an abort.
 TEST(PipelineValidationTest, BadCdKFromConfigIsStatusNotAbort) {
-  auto config = ParseConfig("rbm.cd_k = 0\n");
-  ASSERT_TRUE(config.ok()) << config.status().ToString();
-  linalg::Matrix x(8, 3);
-  auto model = Model::Train(x, config.value(), 1);
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  const linalg::Matrix x(8, 3);
+  for (const char* text :
+       {"rbm.cd_k = 0\n", "rbm.learning_rate = -1\n", "rbm.epochs = -2\n",
+        "rbm.hidden = 0\n", "model = sls-rbm\nsls.supervision_scale = -1\n",
+        "model = sls-rbm\nsls.eta = 1\n"}) {
+    SCOPED_TRACE(text);
+    auto config = ParseConfig(text);
+    ASSERT_TRUE(config.ok()) << config.status().ToString();
+    auto model = Model::Train(x, config.value(), 1);
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // An evaluation k above the row count is InvalidArgument, checked before
@@ -296,31 +304,6 @@ TEST(PipelineValidationTest, EvaluateFeaturesRejectsKAboveRowCount) {
   EXPECT_NE(result.status().message().find("k = 11 exceeds the 10 input rows"),
             std::string::npos)
       << result.status().ToString();
-}
-
-TEST(PipelineValidationTest, RegistryRejectsBadHyperParameters) {
-  auto& registry = ModelRegistry::Global();
-  EXPECT_EQ(registry.Create("rbm", {{"visible", "4"}, {"cd_k", "0"}})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("rbm", {{"visible", "4"}, {"lr", "-1"}})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("rbm", {{"visible", "4"}, {"epochs", "-2"}})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  voting::LocalSupervision sup;
-  sup.cluster_of = {0, 0, 1, 1};
-  sup.num_clusters = 2;
-  EXPECT_EQ(registry
-                .Create("sls-rbm",
-                        {{"visible", "4"}, {"scale", "-1"}}, sup)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST_F(ModelLoadErrorTest, MissingKindHeaderRejected) {

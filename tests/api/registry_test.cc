@@ -1,5 +1,6 @@
 // Registry surface: built-in names, Create error paths, duplicate
-// registration, voter-spec resolution.
+// registration, voter-spec resolution; the model names and the one
+// ModelKind -> class factory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,41 +120,7 @@ TEST(ClustererRegistryTest, CreatedClusterersCluster) {
   }
 }
 
-TEST(ModelRegistryTest, ListsAllBuiltins) {
-  const auto names = api::ModelRegistry::Global().ListRegistered();
-  for (const char* expected : {"rbm", "grbm", "sls-rbm", "sls-grbm"}) {
-    EXPECT_TRUE(Listed(names, expected)) << expected;
-  }
-}
-
-TEST(ModelRegistryTest, UnknownNameIsNotFound) {
-  auto result = api::ModelRegistry::Global().Create("transformer", {});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ModelRegistryTest, CreateRequiresVisibleSize) {
-  auto result =
-      api::ModelRegistry::Global().Create("rbm", {{"hidden", "4"}});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ModelRegistryTest, CreatesEveryBuiltinKind) {
-  voting::LocalSupervision supervision;
-  supervision.cluster_of = {0, 0, 1, 1};
-  supervision.num_clusters = 2;
-  for (const char* name : {"rbm", "grbm", "sls-rbm", "sls-grbm"}) {
-    auto result = api::ModelRegistry::Global().Create(
-        name, {{"visible", "6"}, {"hidden", "4"}}, supervision);
-    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
-    EXPECT_EQ(result.value()->name(), name);
-    EXPECT_EQ(result.value()->weights().rows(), 6u);
-    EXPECT_EQ(result.value()->weights().cols(), 4u);
-  }
-}
-
-TEST(ModelRegistryTest, KindNameMappingRoundTrips) {
+TEST(ModelKindTest, KindNameMappingRoundTrips) {
   for (const auto kind :
        {core::ModelKind::kRbm, core::ModelKind::kGrbm,
         core::ModelKind::kSlsRbm, core::ModelKind::kSlsGrbm}) {
@@ -161,7 +128,29 @@ TEST(ModelRegistryTest, KindNameMappingRoundTrips) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), kind);
   }
-  EXPECT_FALSE(api::ModelKindFromName("mlp").ok());
+  EXPECT_EQ(api::ModelKindFromName("mlp").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(api::ModelNames(), "rbm|grbm|sls-rbm|sls-grbm");
+}
+
+// core::MakeEncoder builds each kind as the class its name says.
+TEST(ModelKindTest, MakeEncoderBuildsEveryKind) {
+  voting::LocalSupervision supervision;
+  supervision.cluster_of = {0, 0, 1, 1};
+  supervision.num_clusters = 2;
+  rbm::RbmConfig config;
+  config.num_visible = 6;
+  config.num_hidden = 4;
+  for (const auto kind :
+       {core::ModelKind::kRbm, core::ModelKind::kGrbm,
+        core::ModelKind::kSlsRbm, core::ModelKind::kSlsGrbm}) {
+    const auto model =
+        core::MakeEncoder(kind, config, core::SlsConfig{}, supervision);
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->name(), api::ModelKindRegistryName(kind));
+    EXPECT_EQ(model->weights().rows(), 6u);
+    EXPECT_EQ(model->weights().cols(), 4u);
+  }
 }
 
 TEST(VoterSpecTest, ParseVoterListHandlesCountsAndErrors) {

@@ -29,7 +29,7 @@ TEST(ExtendedVotersTest, EachExtendedVoterAloneProducesValidSupervision) {
     SupervisionConfig cfg;
     cfg.num_clusters = 3;
     cfg.voters = {{voter, {}, 1}};
-    const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 7);
+    const auto sup = TryComputeSelfLearningSupervision(ds.x, cfg, 7).value();
     sup.CheckValid();
     EXPECT_GT(sup.NumCredible(), 0u) << "voter " << voter;
   }
@@ -39,7 +39,7 @@ TEST(ExtendedVotersTest, FullEnsembleSupervisionIsPurerThanAnySingle) {
   const data::Dataset ds = SeparatedMixture(13);
 
   auto purity_of = [&](const SupervisionConfig& cfg) {
-    const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 3);
+    const auto sup = TryComputeSelfLearningSupervision(ds.x, cfg, 3).value();
     // Purity of credible instances against ground truth.
     std::vector<int> truth, pred;
     for (std::size_t i = 0; i < sup.cluster_of.size(); ++i) {
@@ -71,7 +71,8 @@ TEST(ExtendedVotersTest, DbscanNoiseAbstainsRatherThanPoisons) {
   SupervisionConfig with_dbscan;
   with_dbscan.num_clusters = 3;
   with_dbscan.voters = {{"kmeans", {}, 1}, {"dbscan", {}, 1}};
-  const auto sup = ComputeSelfLearningSupervision(ds.x, with_dbscan, 5);
+  const auto sup =
+      TryComputeSelfLearningSupervision(ds.x, with_dbscan, 5).value();
   sup.CheckValid();
   // DBSCAN abstentions lower coverage but never create invalid ids.
   EXPECT_LE(sup.Coverage(), 1.0);
@@ -86,13 +87,13 @@ TEST(ExtendedVotersTest, MoreMembersNeverRaiseCoverage) {
   SupervisionConfig base;
   base.num_clusters = 3;
   const double cov_base =
-      ComputeSelfLearningSupervision(ds.x, base, 23).Coverage();
+      TryComputeSelfLearningSupervision(ds.x, base, 23).value().Coverage();
 
   SupervisionConfig extended = base;
   extended.voters =
       ParseVoterList("dp,kmeans,ap,agglomerative,gmm,spectral").value();
   const double cov_ext =
-      ComputeSelfLearningSupervision(ds.x, extended, 23).Coverage();
+      TryComputeSelfLearningSupervision(ds.x, extended, 23).value().Coverage();
 
   EXPECT_LE(cov_ext, cov_base + 1e-12)
       << "unanimity over a superset of voters cannot cover more";
@@ -103,8 +104,8 @@ TEST(ExtendedVotersTest, DeterministicGivenSeed) {
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
   cfg.voters = ParseVoterList("dp,kmeans,ap,agglomerative,dbscan,gmm").value();
-  const auto a = ComputeSelfLearningSupervision(ds.x, cfg, 31);
-  const auto b = ComputeSelfLearningSupervision(ds.x, cfg, 31);
+  const auto a = TryComputeSelfLearningSupervision(ds.x, cfg, 31).value();
+  const auto b = TryComputeSelfLearningSupervision(ds.x, cfg, 31).value();
   EXPECT_EQ(a.cluster_of, b.cluster_of);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
 }

@@ -37,7 +37,7 @@ TEST(SupervisionPipelineTest, EasyDataGetsHighCoverageSupervision) {
   SupervisionConfig cfg;
   cfg.num_clusters = 2;
   const voting::LocalSupervision sup =
-      ComputeSelfLearningSupervision(d.x, cfg, 1);
+      TryComputeSelfLearningSupervision(d.x, cfg, 1).value();
   EXPECT_EQ(sup.num_clusters, 2);
   EXPECT_GT(sup.Coverage(), 0.8);
   // Credible clusters should align with the true classes almost perfectly.
@@ -59,9 +59,9 @@ TEST(SupervisionPipelineTest, HardDataGetsLowerCoverage) {
   SupervisionConfig cfg;
   cfg.num_clusters = 2;
   const double cov_easy =
-      ComputeSelfLearningSupervision(easy.x, cfg, 1).Coverage();
+      TryComputeSelfLearningSupervision(easy.x, cfg, 1).value().Coverage();
   const double cov_hard =
-      ComputeSelfLearningSupervision(hard.x, cfg, 1).Coverage();
+      TryComputeSelfLearningSupervision(hard.x, cfg, 1).value().Coverage();
   EXPECT_LT(cov_hard, cov_easy);
 }
 
@@ -72,16 +72,19 @@ TEST(SupervisionPipelineTest, SubsetOfClusterersWorks) {
   cfg.num_clusters = 2;
   cfg.voters = {{"dp", {}, 1}, {"kmeans", {}, 1}};
   const voting::LocalSupervision sup =
-      ComputeSelfLearningSupervision(d.x, cfg, 1);
+      TryComputeSelfLearningSupervision(d.x, cfg, 1).value();
   EXPECT_GT(sup.Coverage(), 0.5);
 }
 
-TEST(SupervisionPipelineDeathTest, NoClusterersAborts) {
+TEST(SupervisionPipelineTest, NoClusterersIsInvalidArgument) {
   linalg::Matrix x(10, 3);
   SupervisionConfig cfg;
   cfg.voters.clear();
-  EXPECT_DEATH(ComputeSelfLearningSupervision(x, cfg, 1),
-               "at least one base clusterer");
+  const auto sup = TryComputeSelfLearningSupervision(x, cfg, 1);
+  EXPECT_EQ(sup.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sup.status().message().find("at least one base clusterer"),
+            std::string::npos)
+      << sup.status().ToString();
 }
 
 TEST(SupervisionPipelineTest, VoterKAboveRowCountIsInvalidArgument) {
@@ -121,8 +124,9 @@ TEST(PipelineTest, AllModelKindsProduceFeatures) {
         kind == ModelKind::kRbm || kind == ModelKind::kSlsRbm;
     const linalg::Matrix& x = is_binary_model ? binary : real;
     const PipelineResult result =
-        RunEncoderPipeline(x, SmallConfig(kind), 5);
-    EXPECT_EQ(result.hidden_features.rows(), 50u) << ModelKindName(kind);
+        TryRunEncoderPipeline(x, SmallConfig(kind), 5).value();
+    EXPECT_EQ(result.hidden_features.rows(), 50u)
+        << "kind " << static_cast<int>(kind);
     EXPECT_EQ(result.hidden_features.cols(), 8u);
     EXPECT_NE(result.model, nullptr);
   }
@@ -132,7 +136,7 @@ TEST(PipelineTest, PlainModelsSkipSupervision) {
   data::Dataset d = MakeData(40, 6, 2, 4.0, 6);
   data::StandardizeInPlace(&d.x);
   const PipelineResult result =
-      RunEncoderPipeline(d.x, SmallConfig(ModelKind::kGrbm), 7);
+      TryRunEncoderPipeline(d.x, SmallConfig(ModelKind::kGrbm), 7).value();
   EXPECT_EQ(result.supervision.num_clusters, 0);
   EXPECT_TRUE(result.supervision.cluster_of.empty());
 }
@@ -141,8 +145,8 @@ TEST(PipelineTest, DeterministicGivenSeed) {
   data::Dataset d = MakeData(40, 6, 2, 5.0, 7);
   data::StandardizeInPlace(&d.x);
   const PipelineConfig cfg = SmallConfig(ModelKind::kSlsGrbm);
-  const PipelineResult a = RunEncoderPipeline(d.x, cfg, 11);
-  const PipelineResult b = RunEncoderPipeline(d.x, cfg, 11);
+  const PipelineResult a = TryRunEncoderPipeline(d.x, cfg, 11).value();
+  const PipelineResult b = TryRunEncoderPipeline(d.x, cfg, 11).value();
   EXPECT_TRUE(a.hidden_features.AllClose(b.hidden_features, 0));
 }
 
@@ -155,7 +159,7 @@ TEST(PipelineTest, SlsFeaturesImproveKmeansOnModerateData) {
   PipelineConfig cfg = SmallConfig(ModelKind::kSlsGrbm);
   cfg.rbm.epochs = 30;
   cfg.sls.supervision_scale = 500.0;
-  const PipelineResult sls = RunEncoderPipeline(d.x, cfg, 9);
+  const PipelineResult sls = TryRunEncoderPipeline(d.x, cfg, 9).value();
 
   clustering::KMeansConfig km;
   km.k = 2;
@@ -183,13 +187,6 @@ TEST(PipelineTest, DivergentTrainingReturnsInvalidArgument) {
       << result.status().message();
   EXPECT_NE(result.status().message().find("rbm.learning_rate"),
             std::string::npos);
-}
-
-TEST(PipelineTest, ModelKindNamesAreStable) {
-  EXPECT_STREQ(ModelKindName(ModelKind::kRbm), "RBM");
-  EXPECT_STREQ(ModelKindName(ModelKind::kGrbm), "GRBM");
-  EXPECT_STREQ(ModelKindName(ModelKind::kSlsRbm), "slsRBM");
-  EXPECT_STREQ(ModelKindName(ModelKind::kSlsGrbm), "slsGRBM");
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(SelfTrainingTest, RoundZeroEqualsPaperPipeline) {
 
   // Reference: the one-shot pipeline with the same seed derivation.
   PipelineConfig pipeline = config.pipeline;
-  const auto reference = RunEncoderPipeline(ds.x, pipeline, 11);
+  const auto reference = TryRunEncoderPipeline(ds.x, pipeline, 11).value();
   // Same supervision statistics (the exact seed path differs, so compare
   // semantics rather than bit-level features).
   EXPECT_EQ(self_trained.rounds[0].supervision_clusters,

@@ -44,7 +44,7 @@ TEST(SupervisionVotersTest, MoreVotersNeverRaiseCoverage) {
     SupervisionConfig cfg;
     cfg.num_clusters = 3;
     cfg.voters = PaperVoters(voters);
-    const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 5);
+    const auto sup = TryComputeSelfLearningSupervision(ds.x, cfg, 5).value();
     EXPECT_LE(sup.Coverage(), prev_coverage + 1e-12)
         << voters << " voters";
     prev_coverage = sup.Coverage();
@@ -61,7 +61,7 @@ TEST(SupervisionVotersTest, StricterVoteDoesNotLowerPrecision) {
     SupervisionConfig cfg;
     cfg.num_clusters = 3;
     cfg.voters = PaperVoters(voters);
-    const auto sup = ComputeSelfLearningSupervision(ds.x, cfg, 5);
+    const auto sup = TryComputeSelfLearningSupervision(ds.x, cfg, 5).value();
     std::vector<int> truth, pred;
     for (std::size_t i = 0; i < sup.cluster_of.size(); ++i) {
       if (sup.cluster_of[i] >= 0) {
@@ -80,8 +80,8 @@ TEST(SupervisionVotersTest, DeterministicGivenSeed) {
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
   cfg.voters = PaperVoters(3);
-  const auto a = ComputeSelfLearningSupervision(ds.x, cfg, 9);
-  const auto b = ComputeSelfLearningSupervision(ds.x, cfg, 9);
+  const auto a = TryComputeSelfLearningSupervision(ds.x, cfg, 9).value();
+  const auto b = TryComputeSelfLearningSupervision(ds.x, cfg, 9).value();
   EXPECT_EQ(a.cluster_of, b.cluster_of);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
 }
@@ -123,13 +123,16 @@ TEST(SupervisionVotersTest, MatchesStandaloneVoters) {
   parallel::SetDeterministic(saved_mode);
 }
 
-TEST(SupervisionVotersDeathTest, ZeroVotersAborts) {
+TEST(SupervisionVotersTest, ZeroVotersIsInvalidArgument) {
   const data::Dataset ds = NoisyMixture(1);
   SupervisionConfig cfg;
   cfg.num_clusters = 3;
   cfg.voters = {{"kmeans", {}, 0}};
-  EXPECT_DEATH(ComputeSelfLearningSupervision(ds.x, cfg, 1),
-               "count must be positive");
+  const auto sup = TryComputeSelfLearningSupervision(ds.x, cfg, 1);
+  EXPECT_EQ(sup.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sup.status().message().find("count must be positive"),
+            std::string::npos)
+      << sup.status().ToString();
 }
 
 }  // namespace

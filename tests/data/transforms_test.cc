@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/stats.h"
 
@@ -82,6 +83,31 @@ TEST(TransformsTest, EmptyMatrixIsSafe) {
   BinarizeAtColumnMeanInPlace(&x);
   L2NormalizeRowsInPlace(&x);
   EXPECT_TRUE(x.empty());
+}
+
+// Each preprocessing name runs exactly its recipe; an unknown name is an
+// error that leaves the data alone.
+TEST(TransformsTest, ApplyTransformByName) {
+  const linalg::Matrix raw{{1, 100}, {2, 300}, {7, 200}, {4, 400}};
+  linalg::Matrix standardized = raw;
+  StandardizeInPlace(&standardized);
+  linalg::Matrix minmax = raw;
+  MinMaxScaleInPlace(&minmax);
+  linalg::Matrix binarized = minmax;
+  BinarizeAtColumnMeanInPlace(&binarized);
+  for (const auto& [name, expected] :
+       {std::pair<const char*, const linalg::Matrix*>{"none", &raw},
+        {"standardize", &standardized},
+        {"minmax", &minmax},
+        {"binarize", &binarized}}) {
+    linalg::Matrix x = raw;
+    ASSERT_TRUE(ApplyTransform(name, &x).ok()) << name;
+    EXPECT_TRUE(x.AllClose(*expected, 0)) << name;
+  }
+  linalg::Matrix x = raw;
+  const Status unknown = ApplyTransform("auto", &x);
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(x.AllClose(raw, 0));
 }
 
 }  // namespace

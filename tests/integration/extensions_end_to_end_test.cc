@@ -49,7 +49,7 @@ TEST_F(ExtensionsEndToEndTest, MajorityEnsembleSupervisionFeedsSlsGrbm) {
       core::ParseVoterList("dp,kmeans,ap,agglomerative,gmm").value();
   ensemble.strategy = voting::VoteStrategy::kMajority;
   const auto supervision =
-      core::ComputeSelfLearningSupervision(x_, ensemble, 5);
+      core::TryComputeSelfLearningSupervision(x_, ensemble, 5).value();
   supervision.CheckValid();
   EXPECT_GT(supervision.Coverage(), 0.3);
 
@@ -61,7 +61,7 @@ TEST_F(ExtensionsEndToEndTest, MajorityEnsembleSupervisionFeedsSlsGrbm) {
   config.sls.supervision_scale = 2500;
   config.sls.disperse_weight = 2.0;
   config.supervision = ensemble;
-  const auto result = core::RunEncoderPipeline(x_, config, 7);
+  const auto result = core::TryRunEncoderPipeline(x_, config, 7).value();
   EXPECT_EQ(result.hidden_features.cols(), 32u);
   // The encoder must at least not destroy the structure the raw data has.
   EXPECT_GT(KMeansAccuracy(result.hidden_features),
@@ -133,7 +133,7 @@ TEST_F(ExtensionsEndToEndTest, WholeExtensionPathIsDeterministic) {
     config.rbm.epochs = 10;
     config.rbm.learning_rate = 1e-4;
     config.supervision = ensemble;
-    return core::RunEncoderPipeline(x_, config, 13).hidden_features;
+    return core::TryRunEncoderPipeline(x_, config, 13).value().hidden_features;
   };
   EXPECT_TRUE(run_once().AllClose(run_once(), 0.0));
 }

@@ -154,11 +154,6 @@ TEST(GrbmTest, OverflowInTheLastUpdateIsInvalidArgument) {
 }
 
 TEST(GrbmDeathTest, DivergentTrainAborts) {
-  // RealData runs on the thread pool before the death test starts, and a
-  // plain fork can copy the pool's mutex while a worker holds it; the
-  // child's own parallel sampling (MCIRBM_DETERMINISTIC=0) then blocks on
-  // it forever. The threadsafe style re-executes the test binary instead.
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RbmConfig cfg = SmallConfig(10);
   cfg.learning_rate = 1e6;
   cfg.epochs = 60;

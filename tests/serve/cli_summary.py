@@ -15,6 +15,17 @@ with out=, evaluate, chunked transform, op=stats) and checks that
   - the served feature CSV is byte-identical to the one-shot
     `transform` subcommand's.
 
+Then it serves the same file twice more over 2 replicas, and each run
+must again answer `# served=4 failed=0 replicas=2` with a byte-identical
+feature CSV:
+
+  - under admission control (`--max-pending 8`): the bound rejects at
+    least once (rejected= >= 1), and the CLI's retries still complete
+    every request;
+  - under load-aware routing with periodic stats (`--routing
+    least_loaded --stats-every 2`): a `# serve_queue_wait_micros{`
+    metric line streams before the summary.
+
 Usage: cli_summary.py PATH_TO_MCIRBM_CLI
 """
 
@@ -23,6 +34,11 @@ import os
 import subprocess
 import sys
 import tempfile
+
+TRAIN_CONFIG = """\
+rbm.hidden = 8
+rbm.epochs = 3
+"""
 
 REQUESTS = """\
 op=transform model=serve_model.txt data=serve.csv transform=standardize chunk=1 out=served_hidden.csv
@@ -68,14 +84,31 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         run(cli, work, "synth", "--family", "uci", "--index", "0",
             "--out", "serve.csv", "--seed", "3")
+        with open(work + "/train.cfg", "w") as f:
+            f.write(TRAIN_CONFIG)
         run(cli, work, "train", "--data", "serve.csv", "--model", "grbm",
-            "--standardize", "--epochs", "3", "--hidden", "8",
+            "--standardize", "--config", "train.cfg",
             "--out", "serve_model.txt")
+        run(cli, work, "transform", "--data", "serve.csv", "--model-file",
+            "serve_model.txt", "--standardize", "--out", "direct_hidden.csv")
         with open(work + "/serve_requests.txt", "w") as f:
             f.write(REQUESTS)
-        lines = run(cli, work, "serve", "--requests", "serve_requests.txt",
-                    "--max-batch-rows", "32",
-                    "--max-queue-micros", "500").splitlines()
+
+        def serve(*flags):
+            """Serves the request file; the summary and CSV checks."""
+            served = work + "/served_hidden.csv"
+            if os.path.exists(served):
+                os.remove(served)
+            lines = run(cli, work, "serve", "--requests",
+                        "serve_requests.txt", "--max-batch-rows", "32",
+                        "--max-queue-micros", "500", *flags).splitlines()
+            check(os.path.exists(served) and filecmp.cmp(
+                served, work + "/direct_hidden.csv", shallow=False),
+                  "served_hidden.csv differs from the one-shot transform "
+                  "(serve %s)" % " ".join(flags))
+            return lines
+
+        lines = serve()
 
         ok_lines = [line for line in lines if line.startswith("ok ")]
         check(len(ok_lines) == 4, "expected 4 ok lines, got %d" %
@@ -107,11 +140,34 @@ def main():
               "flush triggers sum to %d, batches=%s" % (
                   flushes, summary.get("batches")))
 
-        run(cli, work, "transform", "--data", "serve.csv", "--model-file",
-            "serve_model.txt", "--standardize", "--out", "direct_hidden.csv")
-        check(filecmp.cmp(work + "/served_hidden.csv",
-                          work + "/direct_hidden.csv", shallow=False),
-              "served_hidden.csv differs from the one-shot transform")
+        def replicated_summary(lines, what):
+            """The 2-replica run's summary tokens and the lines before it."""
+            at = [i for i, line in enumerate(lines)
+                  if line.startswith("# served=")]
+            if len(at) != 1 or not lines[at[0]].startswith(
+                    "# served=4 failed=0 replicas=2 "):
+                failures.append("%s: summary lines %r" % (
+                    what, [lines[i] for i in at]))
+                return None, []
+            tokens = lines[at[0]][2:].split()
+            return dict(t.split("=", 1) for t in tokens), lines[:at[0]]
+
+        bounded, _ = replicated_summary(
+            serve("--replicas", "2", "--max-pending", "8"),
+            "--max-pending 8")
+        if bounded is not None:
+            check(int(bounded.get("rejected", 0)) >= 1,
+                  "--max-pending 8 rejected nothing: rejected=%s" %
+                  bounded.get("rejected"))
+
+        routed, before = replicated_summary(
+            serve("--replicas", "2", "--routing", "least_loaded",
+                  "--stats-every", "2"), "--routing least_loaded")
+        if routed is not None:
+            check(any(line.startswith("# serve_queue_wait_micros{")
+                      for line in before),
+                  "--stats-every 2 streamed no serve_queue_wait_micros "
+                  "line before the summary")
 
     if failures:
         sys.exit("FAIL:\n  " + "\n  ".join(failures))

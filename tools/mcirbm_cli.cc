@@ -56,7 +56,6 @@
 #include "net/net.h"
 #include "serve/serve.h"
 #include "core/model_selection.h"
-#include "eval/experiment.h"
 #include "data/binary_io.h"
 #include "data/io.h"
 #include "data/loaders.h"
@@ -64,6 +63,7 @@
 #include "data/transforms.h"
 #include "metrics/external.h"
 #include "parallel/thread_pool.h"
+#include "util/check.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -94,8 +94,8 @@ class Args {
         values_.Set(key, argv[++i]);
       } else {
         // Valueless flag. The empty sentinel keeps Has() working for
-        // boolean flags while making GetInt/GetDouble reject a numeric
-        // flag whose value was forgotten (e.g. `--threads --seed 7`).
+        // boolean flags while making GetInt reject a numeric flag whose
+        // value was forgotten (e.g. `--threads --seed 7`).
         values_.Set(key, "");
       }
     }
@@ -120,15 +120,6 @@ class Args {
     auto v = values_.GetInt(key, fallback);
     if (!v.ok()) {
       std::cerr << "error: flag --" << key << " expects an integer, got '"
-                << Get(key) << "'\n";
-      std::exit(2);
-    }
-    return v.value();
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto v = values_.GetDouble(key, fallback);
-    if (!v.ok()) {
-      std::cerr << "error: flag --" << key << " expects a number, got '"
                 << Get(key) << "'\n";
       std::exit(2);
     }
@@ -159,11 +150,10 @@ StatusOr<data::Dataset> LoadCliDataset(const Args& args,
 
 // Applies the representation flags to `x` in the documented order.
 void ApplyTransforms(const Args& args, linalg::Matrix* x) {
-  if (args.Has("standardize")) data::StandardizeInPlace(x);
-  if (args.Has("minmax")) data::MinMaxScaleInPlace(x);
-  if (args.Has("binarize")) {
-    data::MinMaxScaleInPlace(x);
-    data::BinarizeAtColumnMeanInPlace(x);
+  for (const char* name : {"standardize", "minmax", "binarize"}) {
+    if (args.Has(name)) {
+      MCIRBM_CHECK(data::ApplyTransform(name, x).ok());
+    }
   }
 }
 
@@ -267,9 +257,8 @@ int RunSupervise(const Args& args) {
 
 int RunTrain(const Args& args) {
   const Status valid = args.Validate(
-      {"data", "out", "model", "config", "hidden", "epochs", "lr", "eta",
-       "scale", "clusters", "seed", "standardize", "minmax", "binarize",
-       "threads"});
+      {"data", "out", "model", "config", "seed", "standardize", "minmax",
+       "binarize", "threads"});
   if (!valid.ok()) return Fail(valid);
   const std::string path = args.Get("data");
   const std::string out = args.Get("out");
@@ -278,50 +267,34 @@ int RunTrain(const Args& args) {
   }
   auto kind = api::ModelKindFromName(args.Get("model", "sls-grbm"));
   if (!kind.ok()) return Fail(kind.status());
-  core::ModelKind model_kind = kind.value();
 
+  // Hyper-parameters come from the --config file's pipeline keys
+  // (api/config.h), over the paper's defaults for the model's family.
   std::string config_text;
   if (args.Has("config")) {
     auto text = ReadFileToString(args.Get("config"));
     if (!text.ok()) return Fail(text.status());
     config_text = std::move(text).value();
-    // A `model` key in the file overrides --model, and — matching
-    // ParsePipelineSpec — it must be resolved *before* the paper-family
-    // base hyper-parameters are chosen, or an sls-rbm configured via the
-    // file would silently train with GRBM-family defaults.
-    core::PipelineConfig probe;
-    probe.model = model_kind;
-    auto probed = api::ParseConfig(config_text, probe);
-    if (!probed.ok()) return Fail(probed.status());
-    model_kind = probed.value().model;
   }
+  // A `model` key in the file overrides --model, and — matching
+  // ParsePipelineSpec — it must be resolved *before* the paper-family
+  // base hyper-parameters are chosen, or an sls-rbm configured via the
+  // file would silently train with GRBM-family defaults.
+  core::PipelineConfig probe;
+  probe.model = kind.value();
+  auto probed = api::ParseConfig(config_text, probe);
+  if (!probed.ok()) return Fail(probed.status());
+  auto parsed = api::ParseConfig(
+      config_text, api::PaperPipelineConfig(probed.value().model));
+  if (!parsed.ok()) return Fail(parsed.status());
+  core::PipelineConfig config = std::move(parsed).value();
 
   auto loaded = LoadCliDataset(args, path);
   if (!loaded.ok()) return Fail(loaded.status());
   data::Dataset ds = std::move(loaded).value();
   ApplyTransforms(args, &ds.x);
-
-  const bool grbm_family = model_kind == core::ModelKind::kGrbm ||
-                           model_kind == core::ModelKind::kSlsGrbm;
-  const eval::ExperimentConfig paper = eval::MakePaperConfig(grbm_family);
-  core::PipelineConfig config;
-  config.model = model_kind;
-  config.rbm = paper.rbm;
-  config.sls = paper.sls;
-  config.supervision = paper.supervision;
-  config.rbm.num_hidden = args.GetInt("hidden", paper.rbm.num_hidden);
-  config.rbm.epochs = args.GetInt("epochs", paper.rbm.epochs);
-  config.rbm.learning_rate = args.GetDouble("lr", paper.rbm.learning_rate);
-  config.sls.eta = args.GetDouble("eta", paper.sls.eta);
-  config.sls.supervision_scale =
-      args.GetDouble("scale", paper.sls.supervision_scale);
-  config.supervision.num_clusters =
-      args.GetInt("clusters", ds.num_classes);
-  if (args.Has("config")) {
-    // Key=value file over the flag-derived base; file keys win.
-    auto parsed = api::ParseConfig(config_text, config);
-    if (!parsed.ok()) return Fail(parsed.status());
-    config = std::move(parsed).value();
+  if (config.supervision.num_clusters <= 0) {
+    config.supervision.num_clusters = ds.num_classes;
   }
 
   auto model = api::Model::Train(ds.x, config, args.GetInt("seed", 7));
@@ -853,16 +826,8 @@ int RunServe(const Args& args) {
 }
 
 void PrintUsage() {
-  std::string clusterers, models;
-  for (const auto& name :
-       clustering::ClustererRegistry::Global().ListRegistered()) {
-    if (!clusterers.empty()) clusterers += "|";
-    clusterers += name;
-  }
-  for (const auto& name : api::ModelRegistry::Global().ListRegistered()) {
-    if (!models.empty()) models += "|";
-    models += name;
-  }
+  const std::string clusterers =
+      Join(clustering::ClustererRegistry::Global().ListRegistered(), "|");
   std::cout <<
       "usage: mcirbm_cli <command> [--flag value | --flag=value ...]\n"
       "\n"
@@ -887,11 +852,12 @@ void PrintUsage() {
       "             (--voters: ordered name[*count] list over " + clusterers +
       ";\n"
       "             default dp,kmeans,ap)\n"
-      "  train      --data <csv> --model " + models + "\n"
-      "             --out <path> [--config <file>] [--hidden N] "
-      "[--epochs N]\n"
-      "             [--lr F] [--eta F] [--scale F] [--clusters K]\n"
+      "  train      --data <csv> --model " + api::ModelNames() + "\n"
+      "             --out <path> [--config <file>]\n"
       "             [--standardize|--binarize] [--seed N]\n"
+      "             (--config: pipeline keys such as rbm.hidden,\n"
+      "             rbm.epochs, rbm.learning_rate, sls.eta,\n"
+      "             sls.supervision_scale, supervision.clusters)\n"
       "  transform  --data <csv> --model-file <path> --out <csv>\n"
       "             [--standardize|--binarize]\n"
       "  eval       --data <csv> [--model-file <path>]\n"
