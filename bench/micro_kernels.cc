@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the numeric kernels:
-// GEMM variants, CD-1 epoch, sls gradient naive vs fast (the ablation of
+// GEMM variants, column sums, CD-1 epoch, sls gradient naive vs fast (the ablation of
 // the algebraic reduction), the three clusterers, and the CSV reader and
 // writer of the data layer.
 #include <benchmark/benchmark.h>
@@ -100,6 +100,17 @@ void BM_PairwiseDistances(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairwiseDistances)->Arg(128)->Arg(512);
+
+// Args: {rows, cols}. The CD-1 step's bias gradients at VT's shape: the
+// visible sums (879 x 899) and the hidden sums (879 x 96).
+void BM_ColSums(benchmark::State& state) {
+  const linalg::Matrix m = RandomMatrix(state.range(0), state.range(1), 9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::ColSums(m));
+  }
+  state.SetItemsProcessed(state.iterations() * m.size());
+}
+BENCHMARK(BM_ColSums)->Args({879, 899})->Args({879, 96});
 
 void BM_RbmCdEpoch(benchmark::State& state) {
   const int nv = static_cast<int>(state.range(0));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -20,7 +22,7 @@ namespace {
 // columns, so each column sum adds its rows in ascending order at any
 // thread count.
 constexpr std::size_t kRowGrain = 32;
-constexpr std::size_t kColumnGrain = 256;
+constexpr std::size_t kColumnGrain = 128;
 constexpr double kFloor = -std::numeric_limits<double>::max();
 
 // The inner loops below are free functions over raw pointers with the
@@ -38,22 +40,6 @@ void AddPositive(const double* r, std::size_t begin, std::size_t end,
   }
 }
 
-// Off-diagonal availabilities of row i over [begin, end):
-// a(i,k) <- d·a(i,k) + (1−d)·min(0, r(k,k) + colsum[k] − max(0, r(i,k))).
-void DampAvailabilities(const double* r, const double* colsum,
-                        const double* rdiag, std::size_t begin,
-                        std::size_t end, double damping, double* a) {
-  const double fresh = 1 - damping;
-  for (std::size_t k = begin; k < end; ++k) {
-    const double x = r[k];
-    const double pos = x > 0.0 ? x : 0.0;
-    const double without_i = colsum[k] - pos;
-    const double sum = rdiag[k] + without_i;
-    const double newa = sum < 0.0 ? sum : 0.0;
-    a[k] = damping * a[k] + fresh * newa;
-  }
-}
-
 // r(i,k) <- d·r(i,k) + (1−d)·(s(i,k) − cap) over [begin, end).
 void DampResponsibilities(const double* s, double cap, std::size_t begin,
                           std::size_t end, double damping, double* r) {
@@ -62,121 +48,6 @@ void DampResponsibilities(const double* s, double cap, std::size_t begin,
     const double newr = s[k] - cap;
     r[k] = damping * r[k] + fresh * newr;
   }
-}
-
-// A max-scan candidate; index n (past the row) means "none".
-struct Pick {
-  double value;
-  std::size_t index;
-};
-
-// (value descending, index ascending): the order in which a serial
-// strict-> scan prefers candidates.
-bool Precedes(const Pick& x, const Pick& y) {
-  return x.value > y.value || (x.value == y.value && x.index < y.index);
-}
-
-// Lane j of an L-lane max scan takes k = j, j + L, ... (the tail goes to
-// the first lanes), so each lane sees an ascending subsequence. With the
-// same strict > per lane, a lane's pick is the first maximum of its
-// subsequence, and the first maximum of the row is the lane pick that
-// Precedes the others: the scans below return exactly the index and the
-// value bits of the serial scan (ties, ±0 and NaN included) at any L.
-
-// Serial reference: best = -DBL_MAX; for k: if (x[k]+y[k] > best) take k.
-// Returns the taken index, or n if no sum exceeds -DBL_MAX.
-template <std::size_t L>
-std::size_t ArgmaxOfSum(const double* x, const double* y, std::size_t n) {
-  double best[L];
-  std::size_t at[L];
-  for (std::size_t j = 0; j < L; ++j) {
-    best[j] = kFloor;
-    at[j] = n;
-  }
-  auto visit = [&](std::size_t j, std::size_t k) {
-    const double v = x[k] + y[k];
-    const bool take = v > best[j];
-    best[j] = take ? v : best[j];
-    at[j] = take ? k : at[j];
-  };
-  std::size_t k0 = 0;
-  for (; k0 + L <= n; k0 += L) {
-    for (std::size_t j = 0; j < L; ++j) visit(j, k0 + j);
-  }
-  for (std::size_t j = 0; k0 + j < n; ++j) visit(j, k0 + j);
-  Pick first{kFloor, n};
-  for (std::size_t j = 0; j < L; ++j) {
-    const Pick lane{best[j], at[j]};
-    if (Precedes(lane, first)) first = lane;
-  }
-  return first.index;
-}
-
-// Top two of x[k] + y[k] by the serial scan
-//   best = second = -DBL_MAX; best_k = 0;
-//   for k: v = x[k]+y[k];
-//     if (v > best) { second = best; best = v; best_k = k; }
-//     else if (v > second) second = v;
-struct TopTwo {
-  double best;
-  std::size_t best_k;
-  double second;
-};
-
-template <std::size_t L>
-TopTwo TopTwoOfSum(const double* x, const double* y, std::size_t n) {
-  double best[L], second[L];
-  std::size_t best_at[L], second_at[L];
-  for (std::size_t j = 0; j < L; ++j) {
-    best[j] = second[j] = kFloor;
-    best_at[j] = second_at[j] = n;
-  }
-  auto visit = [&](std::size_t j, std::size_t k) {
-    const double v = x[k] + y[k];
-    const bool above_best = v > best[j];
-    const bool above_second = v > second[j];
-    const double kept = above_second ? v : second[j];
-    const std::size_t kept_at = above_second ? k : second_at[j];
-    second[j] = above_best ? best[j] : kept;
-    second_at[j] = above_best ? best_at[j] : kept_at;
-    best[j] = above_best ? v : best[j];
-    best_at[j] = above_best ? k : best_at[j];
-  };
-  std::size_t k0 = 0;
-  for (; k0 + L <= n; k0 += L) {
-    for (std::size_t j = 0; j < L; ++j) visit(j, k0 + j);
-  }
-  for (std::size_t j = 0; k0 + j < n; ++j) visit(j, k0 + j);
-  Pick first{kFloor, n};
-  std::size_t winner = 0;
-  for (std::size_t j = 0; j < L; ++j) {
-    const Pick lane{best[j], best_at[j]};
-    if (Precedes(lane, first)) {
-      first = lane;
-      winner = j;
-    }
-  }
-  if (first.index == n) return {kFloor, 0, kFloor};
-  // The runner-up is the first maximum over every k but best_k: the
-  // winning lane's second pick or another lane's first.
-  Pick runner_up{kFloor, n};
-  for (std::size_t j = 0; j < L; ++j) {
-    const Pick lane = j == winner ? Pick{second[j], second_at[j]}
-                                  : Pick{best[j], best_at[j]};
-    if (Precedes(lane, runner_up)) runner_up = lane;
-  }
-  return {first.value, first.index, runner_up.value};
-}
-
-// Row i's responsibilities from its availabilities a and similarities s.
-template <std::size_t L>
-void UpdateResponsibilityRow(const double* s, const double* a,
-                             std::size_t n, double damping, double* r) {
-  const TopTwo top = TopTwoOfSum<L>(a, s, n);
-  DampResponsibilities(s, top.best, 0, top.best_k, damping, r);
-  DampResponsibilities(s, top.second, top.best_k, top.best_k + 1, damping,
-                       r);
-  DampResponsibilities(s, top.best, top.best_k + 1, n, damping, r);
 }
 
 // The n×n messages and the per-iteration vectors one run passes between
@@ -192,53 +63,263 @@ struct Messages {
   double damping;
 };
 
-// The column-sum pass over columns [k0, k1).
+// The column-sum pass over columns [k0, k1), at most kColumnGrain wide:
+// the slice's sums build up in a local array and are stored once.
 void ColumnSumPass(const Messages& m, std::size_t k0, std::size_t k1) {
-  std::fill(m.colsum + k0, m.colsum + k1, 0.0);
+  const std::size_t width = k1 - k0;
+  double acc[kColumnGrain];
+  std::fill_n(acc, width, 0.0);
   for (std::size_t i = 0; i < m.n; ++i) {
-    const double* rrow = m.r + i * m.n;
-    AddPositive(rrow, k0, std::clamp(i, k0, k1), m.colsum);
-    AddPositive(rrow, std::clamp(i + 1, k0, k1), k1, m.colsum);
+    const double* rslice = m.r + i * m.n + k0;
+    AddPositive(rslice, 0, std::clamp(i, k0, k1) - k0, acc);
+    AddPositive(rslice, std::clamp(i + 1, k0, k1) - k0, width, acc);
   }
+  std::copy_n(acc, width, m.colsum + k0);
   for (std::size_t k = k0; k < k1; ++k) m.rdiag[k] = m.r[k * m.n + k];
 }
 
-// The row sweep over rows [begin, end). With `elect`, it updates row i's
-// availabilities and elects its exemplar; with `respond`, it then computes
-// the row's next responsibilities while the row is in cache.
-template <std::size_t L>
-void RowSweep(const Messages& m, bool elect, bool respond,
-              std::size_t begin, std::size_t end) {
-  const std::size_t n = m.n;
-  const double d = m.damping;
-  for (std::size_t i = begin; i < end; ++i) {
-    double* arow = m.a + i * n;
-    double* rrow = m.r + i * n;
-    if (elect) {
-      DampAvailabilities(rrow, m.colsum, m.rdiag, 0, i, d, arow);
-      arow[i] = d * arow[i] + (1 - d) * m.colsum[i];
-      DampAvailabilities(rrow, m.colsum, m.rdiag, i + 1, n, d, arow);
-      const std::size_t best_k = ArgmaxOfSum<L>(arow, rrow, n);
-      m.exemplars[i] = static_cast<int>(best_k == n ? i : best_k);
-    }
-    if (respond) UpdateResponsibilityRow<L>(m.s + i * n, arow, n, d, rrow);
+// The row sweep's two max scans run in lanes. A lane group is one value of
+// V, kLanes doubles (a vector on AVX-512F, a scalar on the portable set),
+// with a matching I of 64-bit column indices, and a block is U groups, so
+// lane j of a block takes k = j, j + W, j + 2W, ... (W = U·kLanes). Each
+// lane sees an ascending subsequence; with the serial scan's strict > per
+// lane, its pick is the first maximum of that subsequence, and the first
+// maximum of the row is the lane pick that Precedes the others. The scans
+// thus return exactly the index and the value bits of the serial scan
+// (ties, ±0 and NaN included) at any lane split.
+
+// A max-scan candidate; index n (past the row) means "none".
+struct Pick {
+  double value;
+  std::size_t index;
+};
+
+// (value descending, index ascending): the order in which a serial
+// strict-> scan prefers candidates.
+bool Precedes(const Pick& x, const Pick& y) {
+  return x.value > y.value || (x.value == y.value && x.index < y.index);
+}
+
+template <class V>
+void Load(const double* p, V& v) {
+  std::memcpy(&v, p, sizeof(V));
+}
+
+template <class V>
+void Store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// The U groups' lanes as one array, lane j of the block at [j].
+template <class T, class V, std::size_t U>
+void Spill(const V (&groups)[U], T* out) {
+  for (std::size_t u = 0; u < U; ++u) {
+    std::memcpy(out + u * sizeof(V) / sizeof(T), &groups[u], sizeof(V));
   }
 }
 
-// A kernel set's two passes. The portable set's scans keep 4 lanes; the
-// AVX-512F set's keep 8, one vector of doubles. Its target attribute
-// confines the ISA to its entry points, as in the GEMM core's AVX-512F set,
-// and flatten inlines every helper above into them, so the helpers compile
-// for that ISA too.
+// The lane pick that Precedes the others, {kFloor, n} if no lane took one,
+// and its lane.
+template <std::size_t W>
+Pick FirstOfLanes(const double (&value)[W], const std::int64_t (&index)[W],
+                  std::size_t n, std::size_t* lane) {
+  Pick first{kFloor, n};
+  for (std::size_t j = 0; j < W; ++j) {
+    const Pick pick{value[j], static_cast<std::size_t>(index[j])};
+    if (Precedes(pick, first)) {
+      first = pick;
+      *lane = j;
+    }
+  }
+  return first;
+}
+
+// Copies src[0, count) to dst, count <= W. Spelled as W guarded stores,
+// not a loop over count elements, which g++ turns into a call to memcpy:
+// a call would clobber the scans' lane registers.
+template <std::size_t W>
+void CopyFirst(const double* src, std::size_t count, double* dst) {
+  for (std::size_t j = 0; j < W; ++j) {
+    if (j < count) dst[j] = src[j];
+  }
+}
+
+// Row i's sweep, one pass over the row plus, with kRespond, a second pass
+// that writes r(i,·). With kElect the first pass updates a(i,·),
+// a(i,k) <- d·a(i,k) + (1−d)·min(0, r(k,k) + colsum[k] − max(0, r(i,k)))
+// off the diagonal and d·a(i,i) + (1−d)·colsum[i] on it, and scans a + r
+// for row i's exemplar, the serial
+//   best = -DBL_MAX; for k: if (a[k] + r[k] > best) take k
+// (none taken: i elects itself). With kRespond it scans a + s for the
+// serial top two
+//   best = second = -DBL_MAX; best_k = 0;
+//   for k: v = a[k] + s[k];
+//     if (v > best) { second = best; best = v; best_k = k; }
+//     else if (v > second) second = v;
+// and the second pass sets r(i,k) <- d·r(i,k) + (1−d)·(s(i,k) − cap), cap
+// being second at best_k and best elsewhere. The scans' lane state stays
+// in registers; the diagonal lane is picked by compare and select.
+template <class V, class I, std::size_t U, bool kElect, bool kRespond>
+void SweepRow(const Messages& m, std::size_t i) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  constexpr std::size_t kWidth = U * kLanes;
+  static_assert(sizeof(I) == sizeof(V));
+  const std::size_t n = m.n;
+  const double d = m.damping;
+  const double fresh = 1 - d;
+  const double* srow = m.s + i * n;
+  double* rrow = m.r + i * n;
+  double* arow = m.a + i * n;
+  const double* colsum = m.colsum;
+  const double* rdiag = m.rdiag;
+  const V zero{};
+  const V floor = zero + kFloor;
+  const I none = I{} + static_cast<std::int64_t>(n);
+  const I diag = I{} + static_cast<std::int64_t>(i);
+  V best[U], top[U], second[U];
+  I best_at[U], top_at[U], second_at[U], at[U];
+  for (std::size_t u = 0; u < U; ++u) {
+    best[u] = floor;
+    top[u] = floor;
+    second[u] = floor;
+    best_at[u] = none;
+    top_at[u] = none;
+    second_at[u] = none;
+    std::int64_t lanes[kLanes];
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      lanes[j] = static_cast<std::int64_t>(u * kLanes + j);
+    }
+    std::memcpy(&at[u], lanes, sizeof(I));
+  }
+
+  // One block of kWidth columns; the pointers sit at its first column.
+  const auto visit = [&](const double* s, const double* r, double* a,
+                         const double* cs_block, const double* rd_block) {
+    for (std::size_t u = 0; u < U; ++u) {
+      const std::size_t o = u * kLanes;
+      V av, rv, cs, rd, sv;
+      Load(a + o, av);
+      if constexpr (kElect) {
+        Load(r + o, rv);
+        Load(cs_block + o, cs);
+        Load(rd_block + o, rd);
+        const V pos = rv > zero ? rv : zero;
+        const V without_i = cs - pos;
+        const V sum = rd + without_i;
+        const V off = sum < zero ? sum : zero;
+        const V newa = at[u] == diag ? cs : off;
+        av = d * av + fresh * newa;
+        Store(a + o, av);
+        const V v = av + rv;
+        const auto take = v > best[u];
+        best[u] = take ? v : best[u];
+        best_at[u] = take ? at[u] : best_at[u];
+      }
+      if constexpr (kRespond) {
+        Load(s + o, sv);
+        const V v = av + sv;
+        const auto above_top = v > top[u];
+        const auto above_second = v > second[u];
+        const V kept = above_second ? v : second[u];
+        const I kept_at = above_second ? at[u] : second_at[u];
+        second[u] = above_top ? top[u] : kept;
+        second_at[u] = above_top ? top_at[u] : kept_at;
+        top[u] = above_top ? v : top[u];
+        top_at[u] = above_top ? at[u] : top_at[u];
+      }
+      at[u] += static_cast<std::int64_t>(kWidth);
+    }
+  };
+  std::size_t k0 = 0;
+  for (; k0 + kWidth <= n; k0 += kWidth) {
+    visit(srow + k0, rrow + k0, arow + k0, colsum + k0, rdiag + k0);
+  }
+  if (k0 < n) {
+    // The tail runs as one block over copies padded with NaN, which no
+    // scan takes; only its real columns' availabilities are stored back.
+    const std::size_t tail = n - k0;
+    double pad[5][kWidth];
+    for (double(&row)[kWidth] : pad) {
+      std::fill_n(row, kWidth, std::numeric_limits<double>::quiet_NaN());
+    }
+    CopyFirst<kWidth>(srow + k0, tail, pad[0]);
+    CopyFirst<kWidth>(rrow + k0, tail, pad[1]);
+    CopyFirst<kWidth>(arow + k0, tail, pad[2]);
+    CopyFirst<kWidth>(colsum + k0, tail, pad[3]);
+    CopyFirst<kWidth>(rdiag + k0, tail, pad[4]);
+    visit(pad[0], pad[1], pad[2], pad[3], pad[4]);
+    if constexpr (kElect) CopyFirst<kWidth>(pad[2], tail, arow + k0);
+  }
+
+  double value[kWidth];
+  std::int64_t index[kWidth];
+  std::size_t lane = 0;
+  if constexpr (kElect) {
+    Spill(best, value);
+    Spill(best_at, index);
+    const Pick first = FirstOfLanes(value, index, n, &lane);
+    m.exemplars[i] = static_cast<int>(first.index == n ? i : first.index);
+  }
+  if constexpr (kRespond) {
+    Spill(top, value);
+    Spill(top_at, index);
+    const Pick first = FirstOfLanes(value, index, n, &lane);
+    double top_value = kFloor, cap_at_top = kFloor;
+    std::size_t top_k = 0;
+    if (first.index != n) {
+      // The serial second is the first maximum over every k but top_k:
+      // the winning lane's second pick or another lane's top.
+      double second_value[kWidth];
+      std::int64_t second_index[kWidth];
+      Spill(second, second_value);
+      Spill(second_at, second_index);
+      value[lane] = second_value[lane];
+      index[lane] = second_index[lane];
+      top_value = first.value;
+      top_k = first.index;
+      cap_at_top = FirstOfLanes(value, index, n, &lane).value;
+    }
+    DampResponsibilities(srow, top_value, 0, top_k, d, rrow);
+    DampResponsibilities(srow, cap_at_top, top_k, top_k + 1, d, rrow);
+    DampResponsibilities(srow, top_value, top_k + 1, n, d, rrow);
+  }
+}
+
+// The row sweep over rows [begin, end). With `elect`, it updates each
+// row's availabilities and elects its exemplar; with `respond`, it computes
+// the row's next responsibilities.
+template <class V, class I, std::size_t U>
+void RowSweep(const Messages& m, bool elect, bool respond,
+              std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (elect && respond) {
+      SweepRow<V, I, U, true, true>(m, i);
+    } else if (elect) {
+      SweepRow<V, I, U, true, false>(m, i);
+    } else {
+      SweepRow<V, I, U, false, true>(m, i);
+    }
+  }
+}
+
+// A kernel set's two passes. The portable set's scans keep 4 scalar lanes;
+// the AVX-512F set's keep 16, two vectors of 8 doubles. Its target
+// attribute confines the ISA to its entry points, as in the GEMM core's
+// AVX-512F set, and flatten inlines every helper above into them, so the
+// helpers compile for that ISA too.
 struct SweepKernels {
   void (*sum_columns)(const Messages&, std::size_t k0, std::size_t k1);
   void (*sweep_rows)(const Messages&, bool elect, bool respond,
                      std::size_t begin, std::size_t end);
 };
 
-constexpr SweepKernels kPortable = {&ColumnSumPass, &RowSweep<4>};
+constexpr SweepKernels kPortable = {&ColumnSumPass,
+                                    &RowSweep<double, std::int64_t, 4>};
 
 #if defined(__x86_64__) && defined(__GNUC__)
+typedef double Vec8 __attribute__((vector_size(64)));
+typedef std::int64_t Vec8i __attribute__((vector_size(64)));
+
 [[gnu::target("avx512f"), gnu::flatten]] void ColumnSumPassAvx512(
     const Messages& m, std::size_t k0, std::size_t k1) {
   ColumnSumPass(m, k0, k1);
@@ -246,7 +327,7 @@ constexpr SweepKernels kPortable = {&ColumnSumPass, &RowSweep<4>};
 [[gnu::target("avx512f"), gnu::flatten]] void RowSweepAvx512(
     const Messages& m, bool elect, bool respond, std::size_t begin,
     std::size_t end) {
-  RowSweep<8>(m, elect, respond, begin, end);
+  RowSweep<Vec8, Vec8i, 2>(m, elect, respond, begin, end);
 }
 constexpr SweepKernels kAvx512 = {&ColumnSumPassAvx512, &RowSweepAvx512};
 #endif

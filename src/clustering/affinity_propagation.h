@@ -13,12 +13,17 @@
 // low end and the newest midpoint both return every point as its own
 // exemplar (see internal::SearchPreference).
 //
-// Each iteration is one column-sum pass and one fused row sweep. Both run
-// on the kernel set the GEMM core runs (linalg::GemmKernelName): the
-// AVX-512F set, whose max scans keep 8 lanes, or the portable one with 4.
-// The lane merge returns the serial scan's first maximum at any lane count
-// and the build never fuses a multiply and an add, so both sets give the
-// plain four-pass loop's result bit for bit.
+// Each iteration is one column-sum pass and one row sweep, both on the
+// kernel set the GEMM core runs (linalg::GemmKernelName). The sweep makes
+// two passes per row: the first updates the row's availabilities and, in
+// the same pass, scans a + r for its exemplar and a + s for the top two;
+// the second writes its responsibilities. The scans run in lanes whose
+// best values and indices stay in registers: 16 lanes, two 8-double
+// vectors, on the AVX-512F set, and 4 scalar lanes on the portable one.
+// Each lane visits its columns in ascending order and the lane merge
+// returns the serial scan's first maximum, and the build never fuses a
+// multiply and an add, so both sets give the plain four-pass loop's result
+// bit for bit.
 #ifndef MCIRBM_CLUSTERING_AFFINITY_PROPAGATION_H_
 #define MCIRBM_CLUSTERING_AFFINITY_PROPAGATION_H_
 

@@ -692,17 +692,26 @@ void AddRowVector(Matrix* m, const std::vector<double>& v) {
 }
 
 std::vector<double> ColSums(const Matrix& m) {
-  std::vector<double> s(m.cols(), 0.0);
-  // Partitioned by *column*: each shard owns a column slice and walks the
-  // rows in order, so every s[j] accumulates in exactly the serial order.
+  // Partitioned by *column*: each shard owns a slice of whole 8-column
+  // (64-byte) groups and walks the rows in order, so every s[j]
+  // accumulates in exactly the serial order. A slice sums into a local
+  // array, kChunk columns at a time, and stores each sum once.
+  constexpr std::size_t kChunk = 256;
   const std::size_t rows = m.rows(), cols = m.cols();
-  parallel::ParallelFor(
-      cols, RowGrain(rows), [&](std::size_t j0, std::size_t j1) {
-        for (std::size_t i = 0; i < rows; ++i) {
-          const double* row = m.data() + i * cols;
-          for (std::size_t j = j0; j < j1; ++j) s[j] += row[j];
-        }
-      });
+  std::vector<double> s(cols);
+  const std::size_t grain = (RowGrain(rows) + 7) / 8 * 8;
+  parallel::ParallelFor(cols, grain, [&](std::size_t j0, std::size_t j1) {
+    for (std::size_t c0 = j0; c0 < j1; c0 += kChunk) {
+      const std::size_t width = std::min(kChunk, j1 - c0);
+      double acc[kChunk];
+      std::fill_n(acc, width, 0.0);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const double* row = m.data() + i * cols + c0;
+        for (std::size_t j = 0; j < width; ++j) acc[j] += row[j];
+      }
+      std::copy_n(acc, width, s.data() + c0);
+    }
+  });
   return s;
 }
 

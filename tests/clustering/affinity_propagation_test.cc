@@ -247,8 +247,10 @@ class AffinityPropagationReferenceTest
 };
 
 TEST_P(AffinityPropagationReferenceTest, MatchesReferenceLoopExactly) {
-  // Sizes that are not multiples of the scan lanes or the shard grains.
-  for (const int n : {2, 3, 5, 131}) {
+  // Sizes that are not multiples of the scan lanes or the shard grains,
+  // and whole AVX-512F sweep blocks (16 columns: 16, 32) with and without
+  // a 15-column tail that holds the later rows' diagonals (47).
+  for (const int n : {2, 3, 5, 16, 32, 47, 131}) {
     const auto d = Blobs(std::min(n, 3), n, 4.0, 40 + n);
     for (const int target : {0, 2}) {
       SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << target);

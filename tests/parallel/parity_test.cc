@@ -99,6 +99,19 @@ TEST_F(ParityTest, PairwiseDistancesAndReductionsAreBitIdentical) {
     EXPECT_EQ(linalg::ColSums(m), col_ref);
     EXPECT_EQ(linalg::RowSums(m), row_ref);
   }
+
+  // 401 rows fit ColSums' 37 columns in one slice. At VT's CD shape its
+  // 899 columns split into many slices, and each column must still add
+  // its rows in ascending order.
+  const linalg::Matrix wide = RandomMatrix(879, 899, 7);
+  std::vector<double> want(wide.cols(), 0.0);
+  for (std::size_t i = 0; i < wide.rows(); ++i) {
+    for (std::size_t j = 0; j < wide.cols(); ++j) want[j] += wide(i, j);
+  }
+  for (int width : {1, 2, 8}) {
+    parallel::SetNumThreads(width);
+    EXPECT_EQ(linalg::ColSums(wide), want) << width << " threads";
+  }
 }
 
 TEST_F(ParityTest, KMeansLabelsIdenticalAcrossWidths) {
