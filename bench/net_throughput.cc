@@ -359,17 +359,16 @@ int main() {
                results, /*last=*/!with_transform && d + 1 == depths.size());
   }
   if (with_transform) {
-    // Real inference behind every response: fewer requests, same sweep.
-    const std::size_t transform_requests = std::max<std::size_t>(
-        8, requests / 10);
+    // Real inference behind every response, same sweep and request count
+    // as the stats kernels: with ~100 transforms per point the trend over
+    // connection counts drowns in run-to-run noise.
     std::vector<Result> results;
     for (int connections : connection_counts) {
       results.push_back(Measure(connect_host, connect_port,
-                                transform_request, transform_requests,
-                                connections, 8, reps));
+                                transform_request, requests, connections, 8,
+                                reps));
     }
-    EmitKernel("net_transform8", transform_requests, results,
-               /*last=*/true);
+    EmitKernel("net_transform8", requests, results, /*last=*/true);
   }
   std::cout << "  ]\n}\n";
   if (!data_path.empty()) {

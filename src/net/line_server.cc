@@ -22,6 +22,8 @@ LineServer::LineServer(const LineServerConfig& config,
       accepted_total_(&registry_.counter("net_accepted_total")),
       requests_total_(&registry_.counter("net_requests_total")),
       responses_total_(&registry_.counter("net_responses_total")),
+      error_responses_total_(
+          &registry_.counter("net_error_responses_total")),
       protocol_errors_total_(
           &registry_.counter("net_protocol_errors_total")),
       connections_open_(&registry_.gauge("net_connections_open")),
@@ -55,7 +57,6 @@ void LineServer::AcceptLoop() {
     connections_open_->Add(1);
     auto conn = std::make_shared<Conn>();
     conn->connection = Connection(std::move(accepted).value());
-    conn->connection.max_line_bytes = config_.max_line_bytes;
     MutexLock lock(conns_mu_);
     conns_.push_back(conn);
     reader_threads_.emplace_back([this, conn] { ReaderLoop(conn); });
@@ -193,14 +194,8 @@ void LineServer::WriteResponse(
   }
   request_micros_->Record(
       static_cast<double>(MonotonicMicros() - start_micros));
-  responses_total_->Increment();
-  if (ok) {
-    ok_responses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::uint64_t total =
-      responses_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (!ok) error_responses_total_->Increment();
+  const std::uint64_t total = responses_total_->Increment();
   if (response_hook_) response_hook_(total);
 }
 

@@ -25,7 +25,8 @@
 //   - a request whose id is already in flight on that connection is
 //     rejected with an error response (ids are reusable once answered);
 //   - a malformed line gets an error response and the connection stays
-//     usable (counted in net_protocol_errors_total);
+//     usable (counted in net_protocol_errors_total); so does a line longer
+//     than Connection::max_line_bytes (1 MiB);
 //   - when the client half-closes (EOF), every request already read is
 //     finished and its response flushed, then the server closes its side
 //     — so `send everything; shutdown(WR); read until EOF` is a
@@ -40,13 +41,15 @@
 //
 // Observability (registry(), merged into op=stats by the owner via
 // RequestExecutor::AddStatsRegistry): net_connections_open gauge,
-// net_{accepted,requests,responses,protocol_errors}_total counters, and
-// a net_request_micros histogram measuring read-to-flushed wall time per
-// request. When the executor has a trace store, each sampled request's
-// trace starts at the same post-read timestamp net_request_micros uses,
-// gains a "flush" span around the response write, and is finished right
-// after it — so a trace's end-to-end window is the histogram's
-// measurement, decomposed.
+// net_{accepted,requests,responses,error_responses,protocol_errors}_total
+// counters, and a net_request_micros histogram measuring read-to-flushed
+// wall time per request. These are the transport's only tallies: the
+// listen-mode `# served= failed=` line reads net_responses_total and
+// net_error_responses_total from the snapshot. When the executor has a
+// trace store, each sampled request's trace starts at the same post-read
+// timestamp net_request_micros uses, gains a "flush" span around the
+// response write, and is finished right after it — so a trace's
+// end-to-end window is the histogram's measurement, decomposed.
 #ifndef MCIRBM_NET_LINE_SERVER_H_
 #define MCIRBM_NET_LINE_SERVER_H_
 
@@ -82,8 +85,6 @@ struct LineServerConfig {
   /// connections. Clamped to >= 1. Untagged requests always run on
   /// their connection's reader thread.
   int handler_threads = 4;
-  /// Protocol guard: longest accepted request line.
-  std::size_t max_line_bytes = 1 << 20;
 };
 
 /// Multi-client pipelined line-protocol server over a RequestExecutor.
@@ -108,8 +109,9 @@ class LineServer {
   void Drain();
 
   /// Called after every response is flushed, with the total number of
-  /// responses written so far — the CLI's --stats-every hook. Set before
-  /// Start; runs on reader/handler threads, so it must be thread-safe.
+  /// responses written so far (net_responses_total, each value exactly
+  /// once) — the CLI's --stats-every hook. Set before Start; runs on
+  /// reader/handler threads, so it must be thread-safe.
   void set_response_hook(std::function<void(std::uint64_t)> hook) {
     response_hook_ = std::move(hook);
   }
@@ -119,15 +121,6 @@ class LineServer {
   const obs::Registry& registry() const { return registry_; }
   obs::MetricsSnapshot metrics_snapshot() const {
     return registry_.snapshot();
-  }
-
-  /// Responses whose executor marked them ok / not ok (the listen-mode
-  /// served=/failed= summary). Only grows; read after Drain for finals.
-  std::uint64_t ok_responses() const {
-    return ok_responses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t error_responses() const {
-    return error_responses_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -208,12 +201,10 @@ class LineServer {
   obs::Counter* accepted_total_;
   obs::Counter* requests_total_;
   obs::Counter* responses_total_;
+  obs::Counter* error_responses_total_;
   obs::Counter* protocol_errors_total_;
   obs::Gauge* connections_open_;
   obs::Histogram* request_micros_;
-  std::atomic<std::uint64_t> responses_count_{0};
-  std::atomic<std::uint64_t> ok_responses_{0};
-  std::atomic<std::uint64_t> error_responses_{0};
 };
 
 }  // namespace mcirbm::net

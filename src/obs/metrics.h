@@ -22,8 +22,11 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Increment(std::uint64_t by = 1) {
-    value_.fetch_add(by, std::memory_order_relaxed);
+  /// Adds `by` and returns the new total. Concurrent callers each get a
+  /// distinct total, so a hook keyed on the running count (e.g. "every N
+  /// responses") sees every value exactly once.
+  std::uint64_t Increment(std::uint64_t by = 1) {
+    return value_.fetch_add(by, std::memory_order_relaxed) + by;
   }
   std::uint64_t Value() const {
     return value_.load(std::memory_order_relaxed);

@@ -18,11 +18,11 @@ namespace mcirbm::serve {
 namespace {
 
 // Client-side backpressure policy: a submission rejected with
-// kUnavailable (queue or inflight overflow) is retried after the oldest
-// outstanding future drains — the natural response to admission control;
-// the pressure clears as resolved futures release their slots. The retry
-// cap turns a logic error (e.g. a bound no single request can ever fit
-// under) into a failed request instead of a hung driver.
+// kUnavailable (its model's queue is full) is retried after the oldest
+// outstanding future drains — the natural response to backpressure; the
+// queue empties as the flusher claims its batches. The retry cap turns a
+// logic error (e.g. a bound no single request can ever fit under) into a
+// failed request instead of a hung driver.
 constexpr int kMaxOverflowRetries = 100000;
 constexpr std::chrono::microseconds kOverflowBackoff(100);
 

@@ -14,8 +14,9 @@
 //   - a bounded (path, transform) -> Dataset cache, so per-row request
 //     streams do not re-read and re-preprocess the CSV each time;
 //   - op=transform: chunked submission through Router::Submit with
-//     client-side retry-after-drain on kUnavailable admission
-//     rejections, in-order reassembly, optional out= CSV write;
+//     client-side retry-after-drain when a full model queue rejects a
+//     chunk with kUnavailable, in-order reassembly, optional out= CSV
+//     write;
 //   - op=evaluate: one whole-set SubmitEvaluate with the same retry
 //     policy;
 //   - op=stats: the Router's merged metrics snapshot, folded together

@@ -28,15 +28,15 @@ MicroBatcher::MicroBatcher(const BatcherConfig& config)
 MicroBatcher::~MicroBatcher() { Shutdown(); }
 
 void MicroBatcher::UpdateGauges(const std::string& key) {
-  const auto queue_it = queues_.find(key);
-  const double depth =
-      queue_it == queues_.end()
-          ? 0.0
-          : static_cast<double>(queue_it->second.pending.size());
-  const auto load_it = key_loads_.find(key);
-  const double rows = load_it == key_loads_.end()
-                          ? 0.0
-                          : static_cast<double>(load_it->second);
+  // A drained key has no map entry, so both gauges read 0.
+  const auto it = queues_.find(key);
+  double depth = 0.0;
+  double rows = 0.0;
+  if (it != queues_.end()) {
+    depth = static_cast<double>(it->second.pending.size());
+    rows = static_cast<double>(it->second.pending_rows +
+                               it->second.sealed_rows);
+  }
   registry_.gauge("serve_queue_depth", key).Set(depth);
   registry_.gauge("serve_pending_rows", key).Set(rows);
 }
@@ -64,13 +64,11 @@ Status MicroBatcher::Enqueue(
     if (stopping_) {
       return Status::Unavailable("micro-batcher is shut down");
     }
-    // Backpressure, checked before any mutation — find(), not
-    // operator[], so a rejected submission on a never-seen key does not
-    // leave an empty Queue behind for the flusher to scan forever. The
-    // find() miss is also what admits the first request into an empty
-    // queue unconditionally (mirroring max_batch_rows, so one oversized
-    // request can still be served): a key present in the map always
-    // holds at least one pending row.
+    // Backpressure, checked before any mutation. The find() miss is what
+    // admits the first request into an empty queue unconditionally
+    // (mirroring max_batch_rows, so one oversized request can still be
+    // served): a key present in the map always holds at least one
+    // pending row.
     auto queue_it = queues_.find(key);
     if (config_.max_pending_rows > 0 && queue_it != queues_.end()) {
       // Swap-sealed batches the flusher has not claimed yet still hold
@@ -87,23 +85,8 @@ Status MicroBatcher::Enqueue(
             std::to_string(config_.max_pending_rows) + " pending rows)");
       }
     }
-    if (config_.admission != nullptr && !config_.admission->TryAcquire()) {
-      registry_.counter("serve_rejected_total", key).Increment();
-      return Status::Unavailable(
-          "server is at its inflight-request limit (" +
-          std::to_string(config_.admission->max_inflight()) + ")");
-    }
     Queue& queue =
         queue_it != queues_.end() ? queue_it->second : queues_[key];
-    if (config_.admission != nullptr) {
-      // Release the slot exactly when the request's future resolves.
-      complete = [admission = config_.admission,
-                  inner = std::move(complete)](
-                     StatusOr<linalg::Matrix> features) {
-        inner(std::move(features));
-        admission->Release();
-      };
-    }
     if (!queue.pending.empty() &&
         queue.model.get() != model.get()) {
       // The key was hot-reloaded while requests were queued: seal the
@@ -145,8 +128,6 @@ Status MicroBatcher::Enqueue(
     const std::size_t accepted_rows = rows.rows();
     queue.pending.push_back(
         Request{std::move(rows), now, std::move(complete), std::move(trace)});
-    key_loads_[key] += accepted_rows;
-    load_.fetch_add(accepted_rows, std::memory_order_relaxed);
     registry_.counter("serve_requests_total", key).Increment();
     registry_.counter("serve_rows_total", key).Increment(accepted_rows);
     UpdateGauges(key);
@@ -323,18 +304,6 @@ void MicroBatcher::FlusherLoop() {
   }
 }
 
-void MicroBatcher::SettleLoad(const std::string& key, std::size_t rows) {
-  MutexLock lock(mu_);
-  auto load_it = key_loads_.find(key);
-  if (load_it != key_loads_.end()) {
-    load_it->second -= std::min(load_it->second, rows);
-    if (load_it->second == 0) key_loads_.erase(load_it);
-  }
-  load_.fetch_sub(std::min(load_.load(std::memory_order_relaxed), rows),
-                  std::memory_order_relaxed);
-  UpdateGauges(key);
-}
-
 void MicroBatcher::ExecuteBatch(Batch* batch) {
   obs::Histogram& exec_histogram =
       registry_.histogram("serve_batch_exec_micros", batch->key);
@@ -350,10 +319,6 @@ void MicroBatcher::ExecuteBatch(Batch* batch) {
       request.trace->AddSpan("exec", started, finished - started, batch->key,
                              batch->rows);
     }
-    // Settle before completing: once a future resolves, its rows must no
-    // longer count toward this batcher's load (routers re-route on the
-    // gauge a client reads after .get()).
-    SettleLoad(batch->key, batch->rows);
     request.complete(std::move(features));
     return;
   }
@@ -379,7 +344,6 @@ void MicroBatcher::ExecuteBatch(Batch* batch) {
                              batch->rows);
     }
   }
-  SettleLoad(batch->key, batch->rows);
   if (!features.ok()) {
     for (Request& request : batch->requests) {
       request.complete(features.status());
@@ -404,12 +368,6 @@ void MicroBatcher::ExecuteBatch(Batch* batch) {
 std::size_t MicroBatcher::pending_queues() const {
   MutexLock lock(mu_);
   return queues_.size() + ready_.size();
-}
-
-std::size_t MicroBatcher::key_load(const std::string& key) const {
-  MutexLock lock(mu_);
-  const auto it = key_loads_.find(key);
-  return it == key_loads_.end() ? 0 : it->second;
 }
 
 }  // namespace mcirbm::serve

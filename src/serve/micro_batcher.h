@@ -24,20 +24,20 @@
 // model. Shutdown flushes everything still pending (no request is ever
 // abandoned) and subsequent submissions fail with kUnavailable.
 //
-// Backpressure is fail-fast: when a queue is over max_pending_rows, or
-// the shared AdmissionController is out of inflight slots, the
+// Backpressure is fail-fast: when a queue is over max_pending_rows, the
 // submission's future resolves immediately with kUnavailable (counted in
 // serve_rejected_total) — overflow never blocks the caller and never
 // drops a request silently.
 //
 // Observability: the batcher's own obs::Registry is its only record of
 // what it did — per-model-key serve_queue_wait_micros /
-// serve_batch_exec_micros histograms, live serve_queue_depth /
-// serve_pending_rows gauges, serve_{requests,rows,batches,rejected}_total
-// counters, and one serve_{full,deadline,swap}_flushes_total counter per
-// flush trigger (the three always sum to serve_batches_total). All
-// timing reads util::MonotonicMicros(), the same clock as the bench
-// drivers.
+// serve_batch_exec_micros histograms, serve_queue_depth /
+// serve_pending_rows gauges (requests and rows waiting for a batch; both
+// read 0 once every accepted request has resolved),
+// serve_{requests,rows,batches,rejected}_total counters, and one
+// serve_{full,deadline,swap}_flushes_total counter per flush trigger (the
+// three always sum to serve_batches_total). All timing reads
+// util::MonotonicMicros(), the same clock as the bench drivers.
 //
 // Tracing: a submission may carry an obs::TraceContext (null for the
 // common untraced case — one branch per stage). A traced request gets a
@@ -48,7 +48,6 @@
 #ifndef MCIRBM_SERVE_MICRO_BATCHER_H_
 #define MCIRBM_SERVE_MICRO_BATCHER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -68,44 +67,6 @@
 
 namespace mcirbm::serve {
 
-/// Global admission bound shared by every batcher behind one router: a
-/// submission acquires a slot before queueing and releases it when its
-/// future resolves. Overflow never blocks — TryAcquire just fails and the
-/// caller rejects the request with kUnavailable.
-class AdmissionController {
- public:
-  /// `max_inflight` of 0 means unbounded (TryAcquire always succeeds).
-  explicit AdmissionController(std::uint64_t max_inflight)
-      : max_inflight_(max_inflight) {}
-
-  AdmissionController(const AdmissionController&) = delete;
-  AdmissionController& operator=(const AdmissionController&) = delete;
-
-  bool TryAcquire() {
-    if (max_inflight_ == 0) return true;
-    std::uint64_t current = inflight_.load(std::memory_order_relaxed);
-    while (current < max_inflight_) {
-      if (inflight_.compare_exchange_weak(current, current + 1,
-                                          std::memory_order_acq_rel)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  void Release() {
-    if (max_inflight_ == 0) return;
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  std::uint64_t inflight() const {
-    return inflight_.load(std::memory_order_acquire);
-  }
-  std::uint64_t max_inflight() const { return max_inflight_; }
-
- private:
-  const std::uint64_t max_inflight_;
-  std::atomic<std::uint64_t> inflight_{0};
-};
-
 /// Batching policy knobs.
 struct BatcherConfig {
   /// Flush a model's queue once this many rows are pending. A single
@@ -118,10 +79,6 @@ struct BatcherConfig {
   /// first request into an empty queue is always admitted, so a single
   /// oversized request can still be served.
   std::size_t max_pending_rows = 0;
-  /// Optional admission bound shared across batchers (replica sharding):
-  /// a submission that cannot acquire an inflight slot is rejected with
-  /// kUnavailable. Null means no global bound.
-  std::shared_ptr<AdmissionController> admission;
 };
 
 /// Coalesces per-model inference requests into batched passes.
@@ -166,18 +123,6 @@ class MicroBatcher {
   /// distinct keys it has ever served).
   std::size_t pending_queues() const;
 
-  /// Live load: rows accepted but not yet through their batched pass
-  /// (queued + sealed + executing). Lock-free read — this is the signal
-  /// serve::Router's least-loaded routing polls per submission.
-  std::size_t load() const {
-    return load_.load(std::memory_order_relaxed);
-  }
-
-  /// `load()` restricted to one model key. A key with nonzero load is
-  /// "pinned": its requests are still coalescing or executing here, so a
-  /// load-aware router must keep routing it to this batcher.
-  std::size_t key_load(const std::string& key) const;
-
   /// This batcher's counters, gauges and histograms (see the header
   /// comment); serve::Router merges one per replica.
   obs::MetricsSnapshot metrics_snapshot() const {
@@ -205,7 +150,8 @@ class MicroBatcher {
     std::size_t pending_rows = 0;
     // Rows this key sealed into ready_ that the flusher has not yet
     // claimed. Counted against max_pending_rows so a Reload-heavy
-    // client cannot grow sealed batches past the backpressure bound.
+    // client cannot grow sealed batches past the backpressure bound,
+    // and in serve_pending_rows.
     std::size_t sealed_rows = 0;
     std::int64_t oldest_micros = 0;  // enqueue time of pending.front()
   };
@@ -220,7 +166,7 @@ class MicroBatcher {
   // A due queue detached from the map for execution outside the lock.
   struct Batch {
     std::shared_ptr<const api::Model> model;
-    std::string key;  // set on sealed batches to settle sealed_rows
+    std::string key;
     std::vector<Request> requests;
     std::size_t rows = 0;
     FlushTrigger trigger = FlushTrigger::kDeadline;
@@ -232,17 +178,11 @@ class MicroBatcher {
                  std::function<void(StatusOr<linalg::Matrix>)> complete,
                  std::shared_ptr<obs::TraceContext> trace);
   void FlusherLoop() MCIRBM_EXCLUDES(mu_);
-  /// Runs one batched pass and completes its requests. Calls SettleLoad,
-  /// so the lock must NOT be held.
+  /// Runs one batched pass and completes its requests, without the lock.
   void ExecuteBatch(Batch* batch) MCIRBM_EXCLUDES(mu_);
-  /// Refreshes this key's queue-depth / pending-rows gauges.
+  /// Refreshes this key's queue-depth / pending-rows gauges from its
+  /// queue: pending requests, and pending plus sealed rows.
   void UpdateGauges(const std::string& key) MCIRBM_REQUIRES(mu_);
-  /// Removes `rows` from this key's live-load accounting. Called by
-  /// ExecuteBatch BEFORE any request future is completed, so a resolved
-  /// future implies its rows no longer count toward load(). Takes mu_
-  /// itself — call with the lock NOT held.
-  void SettleLoad(const std::string& key, std::size_t rows)
-      MCIRBM_EXCLUDES(mu_);
 
   const BatcherConfig config_;
   obs::Registry registry_;
@@ -251,11 +191,6 @@ class MicroBatcher {
   std::map<std::string, Queue> queues_ MCIRBM_GUARDED_BY(mu_);
   /// Sealed by Enqueue on model hot-swap.
   std::vector<Batch> ready_ MCIRBM_GUARDED_BY(mu_);
-  // Rows accepted but not yet executed, per key and in total (queued +
-  // sealed + executing). key_loads_ is guarded by mu_; load_ mirrors its
-  // sum atomically so routers can read it without the lock.
-  std::map<std::string, std::size_t> key_loads_ MCIRBM_GUARDED_BY(mu_);
-  std::atomic<std::size_t> load_{0};
   bool stopping_ MCIRBM_GUARDED_BY(mu_) = false;
   // Claimed (moved out) under mu_ by Shutdown so user + destructor
   // cannot both join it. Last member: started after everything above.

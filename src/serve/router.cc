@@ -1,6 +1,7 @@
 #include "serve/router.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 namespace mcirbm::serve {
@@ -9,8 +10,7 @@ namespace {
 
 /// FNV-1a, chosen over std::hash for a routing function that is
 /// deterministic across standard libraries and process runs (std::hash
-/// makes no such promise, and replica assignment should be stable for
-/// capacity planning).
+/// makes no such promise).
 std::uint64_t Fnv1a(const std::string& key) {
   std::uint64_t hash = 1469598103934665603ull;
   for (const char c : key) {
@@ -19,10 +19,6 @@ std::uint64_t Fnv1a(const std::string& key) {
   }
   return hash;
 }
-
-/// Pin-table size that triggers a sweep of idle entries. Generous: the
-/// table holds one entry per distinct key seen since the last sweep.
-constexpr std::size_t kMaxIdleAssignments = 1024;
 
 /// Ready future carrying an error, for keys the store cannot resolve.
 template <typename T>
@@ -34,18 +30,11 @@ std::future<StatusOr<T>> FailedFuture(Status status) {
 
 }  // namespace
 
-Router::Router(const RouterConfig& config)
-    : routing_(config.routing), store_(config.store_capacity) {
-  if (config.max_inflight_requests > 0) {
-    admission_ =
-        std::make_shared<AdmissionController>(config.max_inflight_requests);
-  }
-  BatcherConfig batcher = config.batcher;
-  batcher.admission = admission_;
+Router::Router(const RouterConfig& config) : store_(config.store_capacity) {
   const std::size_t replicas = std::max<std::size_t>(1, config.replicas);
   batchers_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
-    batchers_.push_back(std::make_unique<MicroBatcher>(batcher));
+    batchers_.push_back(std::make_unique<MicroBatcher>(config.batcher));
   }
 }
 
@@ -55,53 +44,10 @@ std::size_t Router::ReplicaFor(const std::string& key) const {
   return static_cast<std::size_t>(Fnv1a(key) % batchers_.size());
 }
 
-std::size_t Router::PickReplica(const std::string& key) {
-  if (routing_ == RoutingMode::kKeyHash || batchers_.size() == 1) {
-    return ReplicaFor(key);
-  }
-  MutexLock lock(routing_mu_);
-  // A key with live load (requests queued, sealed, or executing) on its
-  // assigned replica is pinned: moving it would split one model's
-  // traffic across batchers and defeat coalescing.
-  const auto it = assignments_.find(key);
-  if (it != assignments_.end() &&
-      batchers_[it->second]->key_load(key) > 0) {
-    return it->second;
-  }
-  // Idle key: route to the least-loaded replica right now. Ties break
-  // toward the key-hash replica (determinism when nothing is loaded),
-  // then the lowest index.
-  std::size_t best = ReplicaFor(key);
-  std::size_t best_load = batchers_[best]->load();
-  for (std::size_t r = 0; r < batchers_.size(); ++r) {
-    const std::size_t load = batchers_[r]->load();
-    if (load < best_load) {
-      best = r;
-      best_load = load;
-    }
-  }
-  if (assignments_.size() >= kMaxIdleAssignments) {
-    // Drop idle pins so the table tracks live keys, not key history.
-    for (auto sweep = assignments_.begin(); sweep != assignments_.end();) {
-      if (batchers_[sweep->second]->key_load(sweep->first) == 0) {
-        sweep = assignments_.erase(sweep);
-      } else {
-        ++sweep;
-      }
-    }
-  }
-  assignments_[key] = best;
-  return best;
-}
-
-std::size_t Router::RouteFor(const std::string& key) {
-  return PickReplica(key);
-}
-
 std::future<StatusOr<linalg::Matrix>> Router::Submit(
     const std::string& model_key, linalg::Matrix rows,
     std::shared_ptr<obs::TraceContext> trace) {
-  MicroBatcher& batcher = *batchers_[PickReplica(model_key)];
+  MicroBatcher& batcher = *batchers_[ReplicaFor(model_key)];
   auto model = store_.Get(model_key, trace.get());
   if (!model.ok()) return FailedFuture<linalg::Matrix>(model.status());
   return batcher.SubmitTransform(std::move(model).value(), model_key,
@@ -112,7 +58,7 @@ std::future<StatusOr<api::EvalResult>> Router::SubmitEvaluate(
     const std::string& model_key, linalg::Matrix rows,
     std::vector<int> labels, api::EvalOptions options,
     std::shared_ptr<obs::TraceContext> trace) {
-  MicroBatcher& batcher = *batchers_[PickReplica(model_key)];
+  MicroBatcher& batcher = *batchers_[ReplicaFor(model_key)];
   auto model = store_.Get(model_key, trace.get());
   if (!model.ok()) return FailedFuture<api::EvalResult>(model.status());
   return batcher.SubmitEvaluate(std::move(model).value(), model_key,
@@ -123,10 +69,6 @@ std::future<StatusOr<api::EvalResult>> Router::SubmitEvaluate(
 Status Router::Reload(const std::string& model_key,
                       obs::TraceContext* trace) {
   return store_.Reload(model_key, trace);
-}
-
-std::uint64_t Router::inflight_requests() const {
-  return admission_ == nullptr ? 0 : admission_->inflight();
 }
 
 void Router::Shutdown() {
@@ -142,8 +84,6 @@ obs::MetricsSnapshot Router::metrics_snapshot() const {
   merged.Merge(store_.metrics_snapshot());
   merged.gauges[{"serve_replicas", ""}] =
       static_cast<double>(batchers_.size());
-  merged.gauges[{"serve_inflight_requests", ""}] =
-      static_cast<double>(inflight_requests());
   return merged;
 }
 

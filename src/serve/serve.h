@@ -10,9 +10,8 @@
 //     one-at-a-time calls (serve/micro_batcher.h);
 //   - serve::Router — the serving unit and client-facing facade:
 //     Submit/SubmitEvaluate futures and hot reload over one shared
-//     ModelStore and N MicroBatcher replicas, with key-hash or
-//     load-aware routing and fail-fast admission control
-//     (serve/router.h);
+//     ModelStore and N MicroBatcher replicas, each key routed by its
+//     hash, with fail-fast per-queue backpressure (serve/router.h);
 //   - serve::ParseRequestLine — the serve request-line format, including
 //     the op=stats / op=trace observability probes, op=reload hot-swaps,
 //     and the pipelining id= tag (serve/request.h);
@@ -22,11 +21,12 @@
 //
 // Every component records into its own src/obs registry (latency
 // histograms, queue gauges, counters) and keeps no other tally;
-// Router::metrics_snapshot() is the merged view, RenderStatsText() its
-// Prometheus-style text. With trace sampling on (obs/trace.h,
-// `--trace-sample N`) every stage also contributes per-request spans —
-// parse/load/queue/exec/format (+ the transport's flush) — surfaced via
-// op=trace, the --stats-port endpoint, and a JSONL stream.
+// Router::metrics_snapshot() is the merged view, and
+// RequestExecutor::RenderStatsText() its Prometheus-style text. With
+// trace sampling on (obs/trace.h, `--trace-sample N`) every stage also
+// contributes per-request spans — parse/load/queue/exec/format (+ the
+// transport's flush) — surfaced via op=trace, the --stats-port
+// endpoint, and a JSONL stream.
 //
 // Everything fallible reports through Status/StatusOr; a shut-down or
 // overloaded service rejects work with StatusCode::kUnavailable.

@@ -255,6 +255,9 @@ TEST_F(LineServerTest, MalformedLineAnswersErrorAndKeepsConnection) {
   const obs::MetricsSnapshot snapshot = server_->metrics_snapshot();
   EXPECT_EQ(snapshot.counters.at({"net_protocol_errors_total", ""}), 1u);
   EXPECT_EQ(snapshot.counters.at({"net_requests_total", ""}), 2u);
+  // The reader counted the first response before it read the second
+  // line, so the error tally is already final here.
+  EXPECT_EQ(snapshot.counters.at({"net_error_responses_total", ""}), 1u);
 }
 
 // Loads through the "net_gate:" scheme wait until the gate opens, so a
@@ -379,8 +382,8 @@ TEST_F(LineServerTest, DrainUnderLoadResolvesEveryAdmittedRequestOnce) {
   EXPECT_EQ(static_cast<std::uint64_t>(received_total.load()), responses);
   EXPECT_GE(responses, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(snapshot.gauges.at({"net_connections_open", ""}), 0.0);
-  EXPECT_EQ(server_->ok_responses() + server_->error_responses(),
-            responses);
+  // Every op=stats line is well-formed, so every response is ok.
+  EXPECT_EQ(snapshot.counters.at({"net_error_responses_total", ""}), 0u);
 }
 
 TEST_F(LineServerTest, ResponseHookReportsRunningTotals) {

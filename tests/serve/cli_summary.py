@@ -19,12 +19,14 @@ Then it serves the same file twice more over 2 replicas, and each run
 must again answer `# served=4 failed=0 replicas=2` with a byte-identical
 feature CSV:
 
-  - under admission control (`--max-pending 8`): the bound rejects at
-    least once (rejected= >= 1), and the CLI's retries still complete
-    every request;
-  - under load-aware routing with periodic stats (`--routing
-    least_loaded --stats-every 2`): a `# serve_queue_wait_micros{`
-    metric line streams before the summary.
+  - under backpressure (`--max-pending 8`): the bound rejects at least
+    once (rejected= >= 1), and the CLI's retries still complete every
+    request;
+  - with periodic stats (`--stats-every 2`): a
+    `# serve_queue_wait_micros{` metric line streams before the summary.
+
+Finally the retired `--routing` and `--max-inflight` flags must each
+exit with code 1, naming the unknown parameter.
 
 Usage: cli_summary.py PATH_TO_MCIRBM_CLI
 """
@@ -160,14 +162,25 @@ def main():
                   "--max-pending 8 rejected nothing: rejected=%s" %
                   bounded.get("rejected"))
 
-        routed, before = replicated_summary(
-            serve("--replicas", "2", "--routing", "least_loaded",
-                  "--stats-every", "2"), "--routing least_loaded")
-        if routed is not None:
+        streamed, before = replicated_summary(
+            serve("--replicas", "2", "--stats-every", "2"),
+            "--stats-every 2")
+        if streamed is not None:
             check(any(line.startswith("# serve_queue_wait_micros{")
                       for line in before),
                   "--stats-every 2 streamed no serve_queue_wait_micros "
                   "line before the summary")
+
+        for flag, value in (("routing", "key_hash"),
+                            ("max-inflight", "4")):
+            done = subprocess.run(
+                [cli, "serve", "--requests", "serve_requests.txt",
+                 "--" + flag, value], cwd=work, capture_output=True,
+                text=True, timeout=300)
+            check(done.returncode == 1 and
+                  "unknown parameter '%s'" % flag in done.stderr,
+                  "serve --%s %s: exit %d, stderr %r" % (
+                      flag, value, done.returncode, done.stderr))
 
     if failures:
         sys.exit("FAIL:\n  " + "\n  ".join(failures))

@@ -317,25 +317,6 @@ TEST_F(MicroBatcherTest, SealedRowsStillCountAgainstTheBackpressureBound) {
   ASSERT_TRUE(fresh.get().ok());
 }
 
-TEST_F(MicroBatcherTest, RejectedSubmissionLeavesNoEmptyQueueBehind) {
-  // Regression: a global-admission rejection on a never-seen key must
-  // not leak an empty Queue entry for the flusher to scan forever.
-  BatcherConfig config;
-  config.max_batch_rows = 100;
-  config.max_queue_micros = 60'000'000;
-  config.admission = std::make_shared<AdmissionController>(1);
-  MicroBatcher batcher(config);
-  auto admitted = batcher.SubmitTransform(model_, "a", RowOf(ds_.x, 0));
-  auto rejected =
-      batcher.SubmitTransform(model_, "fresh-key", RowOf(ds_.x, 1)).get();
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(batcher.pending_queues(), 1u);  // only "a" — no "fresh-key"
-  batcher.Shutdown();
-  ASSERT_TRUE(admitted.get().ok());
-  EXPECT_EQ(Total(batcher, "serve_rejected_total"), 1u);
-}
-
 TEST_F(MicroBatcherTest, OversizedFirstRequestIsAlwaysAdmitted) {
   BatcherConfig config;
   config.max_pending_rows = 2;
@@ -344,6 +325,31 @@ TEST_F(MicroBatcherTest, OversizedFirstRequestIsAlwaysAdmitted) {
   auto features = batcher.SubmitTransform(model_, "m", std::move(all)).get();
   ASSERT_TRUE(features.ok()) << features.status().ToString();
   EXPECT_EQ(Total(batcher, "serve_rejected_total"), 0u);
+}
+
+TEST_F(MicroBatcherTest, PendingGaugesCountRequestsAndRowsWaitingForABatch) {
+  BatcherConfig config;
+  config.max_batch_rows = 100;
+  config.max_queue_micros = 60'000'000;  // no flush before Shutdown
+  MicroBatcher batcher(config);
+  linalg::Matrix three(3, ds_.x.cols());
+  std::memcpy(three.data(), ds_.x.data(), three.size() * sizeof(double));
+  linalg::Matrix two(2, ds_.x.cols());
+  std::memcpy(two.data(), ds_.x.data() + three.size(),
+              two.size() * sizeof(double));
+  auto first = batcher.SubmitTransform(model_, "m", std::move(three));
+  auto second = batcher.SubmitTransform(model_, "m", std::move(two));
+  const auto gauge = [&batcher](const char* name) {
+    return batcher.metrics_snapshot().gauges.at({name, "m"});
+  };
+  EXPECT_DOUBLE_EQ(gauge("serve_pending_rows"), 5.0);
+  EXPECT_DOUBLE_EQ(gauge("serve_queue_depth"), 2.0);
+  batcher.Shutdown();
+  ASSERT_TRUE(first.get().ok());
+  ASSERT_TRUE(second.get().ok());
+  // Flushed and resolved: nothing waits for a batch any more.
+  EXPECT_DOUBLE_EQ(gauge("serve_pending_rows"), 0.0);
+  EXPECT_DOUBLE_EQ(gauge("serve_queue_depth"), 0.0);
 }
 
 TEST_F(MicroBatcherTest, ReloadThenShutdownResolvesEveryFutureExactlyOnce) {

@@ -1,13 +1,13 @@
 // serve::Router — replica-sharded serving: bit-parity with direct
 // Model::Transform at any replica count, deterministic key-hash routing,
-// the shared cross-replica ModelStore, and fail-fast admission control (a
-// ThreadSanitizer target: the concurrent stress pins rejection behavior
-// under TSan). The one-replica serving unit is pinned by server_test.cc.
+// the shared cross-replica ModelStore, and fail-fast per-queue
+// backpressure (a ThreadSanitizer target: the concurrent stress pins
+// rejection behavior under TSan). The one-replica serving unit is pinned
+// by server_test.cc.
 #include "serve/router.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -155,38 +155,6 @@ TEST_F(RouterTest, ReloadSwapsTheArtifactForEveryReplica) {
             1u);
 }
 
-TEST_F(RouterTest, GlobalInflightOverflowRejectsFastWithUnavailable) {
-  RouterConfig config;
-  config.replicas = 2;
-  config.max_inflight_requests = 1;
-  config.batcher.max_batch_rows = 100;          // nothing flushes by size
-  config.batcher.max_queue_micros = 60'000'000;  // nor by deadline
-  Router router(config);
-  auto admitted = router.Submit(path_a_, RowOf(ds_.x, 0));
-  EXPECT_EQ(router.inflight_requests(), 1u);
-  // The second submission must fail immediately — never block, never be
-  // dropped silently.
-  auto rejected = router.Submit(path_b_, RowOf(ds_.x, 1));
-  ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  auto rejection = rejected.get();
-  ASSERT_FALSE(rejection.ok());
-  EXPECT_EQ(rejection.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(router.metrics_snapshot().CounterTotal("serve_rejected_total"),
-            1u);
-  // The admitted request is still served, and its completion frees the
-  // inflight slot.
-  router.Shutdown();
-  auto features = admitted.get();
-  ASSERT_TRUE(features.ok()) << features.status().ToString();
-  EXPECT_TRUE(features.value().AllClose(RowOf(reference_a_, 0), 0));
-  for (int spin = 0; spin < 1000 && router.inflight_requests() != 0;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(router.inflight_requests(), 0u);
-}
-
 TEST_F(RouterTest, SubmitAfterShutdownIsUnavailable) {
   RouterConfig config;
   config.replicas = 2;
@@ -198,14 +166,13 @@ TEST_F(RouterTest, SubmitAfterShutdownIsUnavailable) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 }
 
-// TSan target: concurrent clients against tight per-queue and global
-// bounds. Every future must resolve exactly once — accepted requests
+// TSan target: concurrent clients against tight per-queue bounds. Every
+// future must resolve exactly once — accepted requests
 // bit-identical to the reference, rejections fail fast with kUnavailable
 // — and the counters must account for every submission.
 TEST_F(RouterTest, ConcurrentOverflowNeverBlocksOrDropsRequests) {
   RouterConfig config;
   config.replicas = 2;
-  config.max_inflight_requests = 8;
   config.batcher.max_batch_rows = 4;
   config.batcher.max_pending_rows = 4;
   config.batcher.max_queue_micros = 200;
@@ -259,112 +226,6 @@ TEST_F(RouterTest, ConcurrentOverflowNeverBlocksOrDropsRequests) {
   EXPECT_EQ(metrics.CounterTotal("serve_rejected_total"), total_rejected);
 }
 
-// The tentpole routing guarantee: per-key results under kLeastLoaded are
-// bit-identical to kKeyHash (and to the direct Model::Transform
-// reference) at every replica count — routing moves queueing around,
-// never results.
-TEST_F(RouterTest, LeastLoadedRoutingIsBitIdenticalToKeyHash) {
-  for (const std::size_t replicas : {1u, 2u, 4u}) {
-    RouterConfig config;
-    config.replicas = replicas;
-    config.routing = RoutingMode::kLeastLoaded;
-    config.batcher.max_batch_rows = 8;
-    Router router(config);
-    std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
-    for (std::size_t r = 0; r < ds_.x.rows(); ++r) {
-      const std::string& key = (r % 2 == 0) ? path_a_ : path_b_;
-      futures.push_back(router.Submit(key, RowOf(ds_.x, r)));
-    }
-    for (std::size_t r = 0; r < futures.size(); ++r) {
-      auto slice = futures[r].get();
-      ASSERT_TRUE(slice.ok()) << slice.status().ToString();
-      const linalg::Matrix& reference =
-          (r % 2 == 0) ? reference_a_ : reference_b_;
-      EXPECT_TRUE(slice.value().AllClose(RowOf(reference, r), 0))
-          << "row " << r << " diverged at " << replicas
-          << " least-loaded replicas";
-    }
-    EXPECT_EQ(router.metrics_snapshot().CounterTotal("serve_requests_total"),
-              ds_.x.rows());
-  }
-}
-
-TEST_F(RouterTest, LeastLoadedPinsBusyKeysAndSpreadsIdleOnes) {
-  RouterConfig config;
-  config.replicas = 2;
-  config.routing = RoutingMode::kLeastLoaded;
-  config.batcher.max_batch_rows = 100;           // nothing flushes by size
-  config.batcher.max_queue_micros = 60'000'000;  // nor by deadline
-  Router router(config);
-  router.store().Put("busy", TrainTiny(ds_.x, 33));
-  router.store().Put("idle", TrainTiny(ds_.x, 33));
-
-  // First submission for a key lands on its hash replica (all loads 0).
-  const std::size_t pinned = router.RouteFor("busy");
-  EXPECT_EQ(pinned, router.ReplicaFor("busy"));
-  auto held = router.Submit("busy", RowOf(ds_.x, 0));
-  // While its rows are queued, the key stays pinned even though its
-  // replica is now the MORE loaded one.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(router.RouteFor("busy"), pinned);
-  }
-  // An idle key avoids the loaded replica, whatever its hash says.
-  EXPECT_EQ(router.RouteFor("idle"), 1 - pinned);
-
-  router.Shutdown();  // flushes the held batch
-  auto features = held.get();
-  ASSERT_TRUE(features.ok()) << features.status().ToString();
-  EXPECT_TRUE(features.value().AllClose(RowOf(reference_a_, 0), 0));
-  // Drained, the pin expires: the key re-resolves by load again.
-  EXPECT_LT(router.RouteFor("busy"), 2u);
-}
-
-// TSan target: concurrent clients under kLeastLoaded — the routing table
-// and load gauges race with the flusher threads. Every result must stay
-// bit-identical to the reference.
-TEST_F(RouterTest, ConcurrentLeastLoadedStaysBitIdentical) {
-  RouterConfig config;
-  config.replicas = 4;
-  config.routing = RoutingMode::kLeastLoaded;
-  config.batcher.max_batch_rows = 4;
-  config.batcher.max_queue_micros = 200;
-  Router router(config);
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 40;
-  std::vector<std::thread> clients;
-  std::vector<int> errors(kClients, 0);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      std::vector<std::future<StatusOr<linalg::Matrix>>> futures;
-      futures.reserve(kPerClient);
-      for (int i = 0; i < kPerClient; ++i) {
-        const std::size_t r =
-            static_cast<std::size_t>(c * kPerClient + i) % ds_.x.rows();
-        const std::string& key = (i % 2 == 0) ? path_a_ : path_b_;
-        futures.push_back(router.Submit(key, RowOf(ds_.x, r)));
-      }
-      for (int i = 0; i < kPerClient; ++i) {
-        const std::size_t r =
-            static_cast<std::size_t>(c * kPerClient + i) % ds_.x.rows();
-        auto result = futures[i].get();
-        if (!result.ok()) {
-          ++errors[c];
-          continue;
-        }
-        const linalg::Matrix& reference =
-            (i % 2 == 0) ? reference_a_ : reference_b_;
-        if (!result.value().AllClose(RowOf(reference, r), 0)) ++errors[c];
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(errors[c], 0) << "client " << c;
-  }
-  EXPECT_EQ(router.metrics_snapshot().CounterTotal("serve_requests_total"),
-            static_cast<std::uint64_t>(kClients) * kPerClient);
-}
-
 TEST_F(RouterTest, MetricsSnapshotMergesReplicasAndStoreOnce) {
   RouterConfig config;
   config.replicas = 2;
@@ -390,7 +251,7 @@ TEST_F(RouterTest, MetricsSnapshotMergesReplicasAndStoreOnce) {
     }
   }
   // The rendered text is grep-able Prometheus form.
-  const std::string text = router.RenderStatsText();
+  const std::string text = snap.RenderText();
   EXPECT_NE(text.find("serve_replicas 2"), std::string::npos) << text;
 }
 

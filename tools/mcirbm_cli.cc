@@ -650,8 +650,10 @@ int RunServeListen(serve::Router* server, serve::RequestExecutor* executor,
   // Everything is flushed; the final snapshot (pending gauges now zero)
   // and summary go out before the router stops.
   PrintCommentedStats(*executor, stdout_mu);
-  PrintServeSummary(*server, transport.ok_responses(),
-                    transport.error_responses());
+  const obs::MetricsSnapshot net = transport.metrics_snapshot();
+  const std::uint64_t failed = net.CounterTotal("net_error_responses_total");
+  PrintServeSummary(*server, net.CounterTotal("net_responses_total") - failed,
+                    failed);
   server->Shutdown();
   return 0;
 }
@@ -660,7 +662,6 @@ int RunServe(const Args& args) {
   const Status valid = args.Validate({"requests", "max-batch-rows",
                                       "max-queue-micros", "store-capacity",
                                       "replicas", "max-pending",
-                                      "max-inflight", "routing",
                                       "stats-every", "listen",
                                       "handler-threads", "stats-port",
                                       "trace-sample", "trace-jsonl",
@@ -672,31 +673,19 @@ int RunServe(const Args& args) {
   const int store_capacity = args.GetInt("store-capacity", 8);
   const int replicas = args.GetInt("replicas", 1);
   const int max_pending = args.GetInt("max-pending", 0);
-  const int max_inflight = args.GetInt("max-inflight", 0);
   const int stats_every = args.GetInt("stats-every", 0);
-  const std::string routing = args.Get("routing", "key_hash");
   if (max_batch_rows < 1) return Fail("--max-batch-rows must be >= 1");
   if (max_queue_micros < 0) return Fail("--max-queue-micros must be >= 0");
   if (store_capacity < 1) return Fail("--store-capacity must be >= 1");
   if (replicas < 1) return Fail("--replicas must be >= 1");
   if (max_pending < 0) return Fail("--max-pending must be >= 0");
-  if (max_inflight < 0) return Fail("--max-inflight must be >= 0");
   if (stats_every < 0) return Fail("--stats-every must be >= 0");
-  if (routing != "key_hash" && routing != "least_loaded") {
-    return Fail("--routing must be key_hash|least_loaded, got '" +
-                routing + "'");
-  }
   config.batcher.max_batch_rows =
       static_cast<std::size_t>(max_batch_rows);
   config.batcher.max_queue_micros = max_queue_micros;
   config.batcher.max_pending_rows = static_cast<std::size_t>(max_pending);
   config.store_capacity = static_cast<std::size_t>(store_capacity);
   config.replicas = static_cast<std::size_t>(replicas);
-  config.max_inflight_requests =
-      static_cast<std::uint64_t>(max_inflight);
-  config.routing = routing == "least_loaded"
-                       ? serve::RoutingMode::kLeastLoaded
-                       : serve::RoutingMode::kKeyHash;
 
   const int listen_port = args.GetInt("listen", -1);
   const int handler_threads = args.GetInt("handler-threads", 4);
@@ -868,8 +857,7 @@ void PrintUsage() {
       "  serve      [--requests <file>|- | --listen PORT] [--stats-port P]\n"
       "             [--max-batch-rows N] [--max-queue-micros N]\n"
       "             [--store-capacity N] [--replicas N]\n"
-      "             [--max-pending ROWS] [--max-inflight N]\n"
-      "             [--routing key_hash|least_loaded] [--stats-every N]\n"
+      "             [--max-pending ROWS] [--stats-every N]\n"
       "             [--handler-threads N] [--trace-sample N]\n"
       "             [--trace-jsonl <path>]\n"
       "             one key=value request per line (op=transform|evaluate\n"
@@ -886,10 +874,11 @@ void PrintUsage() {
       "             recent-trace section of --stats-port, or stream each\n"
       "             completed trace as JSON with --trace-jsonl <path>;\n"
       "             op=reload model=<artifact> hot-swaps one artifact;\n"
-      "             --routing least_loaded sends idle keys to the\n"
-      "             emptiest replica (results identical to key_hash);\n"
-      "             overflow beyond --max-pending/--max-inflight rejects\n"
-      "             fast with kUnavailable (reported as rejected=);\n"
+      "             --replicas N spreads model keys over N batchers by\n"
+      "             key hash (results identical at any N); a request\n"
+      "             that would push its model's queue past --max-pending\n"
+      "             rows rejects fast with kUnavailable (reported as\n"
+      "             rejected=);\n"
       "             --listen PORT serves the same protocol over TCP\n"
       "             (multi-client, pipelined via id= tags, 0 = ephemeral\n"
       "             port printed as '# listening port=N'); --stats-port P\n"

@@ -71,9 +71,7 @@ struct SoakOptions {
   int seed = 42;
   // In-process service shape (ignored with --connect).
   int replicas = 2;
-  std::string routing = "least_loaded";
   int max_pending = 4;
-  int max_inflight = 0;
   int trace_sample = 4;
   std::string trace_jsonl;
   // TCP mode: drive a live `serve --listen` endpoint instead.
@@ -87,8 +85,7 @@ struct SoakOptions {
 int Usage() {
   std::cerr
       << "usage: mcirbm_soak [--duration-seconds N] [--threads N]\n"
-         "                   [--replicas N] [--routing key_hash|least_loaded]\n"
-         "                   [--max-pending ROWS] [--max-inflight N]\n"
+         "                   [--replicas N] [--max-pending ROWS]\n"
          "                   [--trace-sample N] [--trace-jsonl <path>]\n"
          "                   [--connect HOST:PORT] [--expect-rejections 0|1]\n"
          "                   [--seed N]\n";
@@ -131,12 +128,10 @@ bool ParseFlags(int argc, char** argv, SoakOptions* options) {
       !take_int("seed", &options->seed) ||
       !take_int("replicas", &options->replicas) ||
       !take_int("max-pending", &options->max_pending) ||
-      !take_int("max-inflight", &options->max_inflight) ||
       !take_int("trace-sample", &options->trace_sample) ||
       !take_int("expect-rejections", &options->expect_rejections)) {
     return false;
   }
-  take_string("routing", &options->routing);
   take_string("trace-jsonl", &options->trace_jsonl);
   take_string("connect", &connect);
   if (!connect.empty()) {
@@ -156,9 +151,7 @@ bool ParseFlags(int argc, char** argv, SoakOptions* options) {
   }
   return options->duration_seconds >= 1 && options->threads >= 1 &&
          options->replicas >= 1 && options->max_pending >= 0 &&
-         options->max_inflight >= 0 && options->trace_sample >= 0 &&
-         (options->routing == "key_hash" ||
-          options->routing == "least_loaded");
+         options->trace_sample >= 0;
 }
 
 // Pulls `key=value`'s value out of a response line ("" when absent).
@@ -396,13 +389,8 @@ class Soak {
       serve::RouterConfig router_config;
       router_config.replicas =
           static_cast<std::size_t>(options_.replicas);
-      router_config.routing = options_.routing == "least_loaded"
-                                  ? serve::RoutingMode::kLeastLoaded
-                                  : serve::RoutingMode::kKeyHash;
       router_config.batcher.max_pending_rows =
           static_cast<std::size_t>(options_.max_pending);
-      router_config.max_inflight_requests =
-          static_cast<std::uint64_t>(options_.max_inflight);
       router_ = std::make_unique<serve::Router>(router_config);
       serve::ExecutorConfig executor_config;
       if (options_.trace_sample > 0) {
